@@ -13,9 +13,7 @@
 //! * recovery under seeded 1% / 10% datagram loss (delivery ratio and
 //!   retransmissions per frame — the fault schedule is a fixed, replayable
 //!   adversary),
-//! * per-frame recovery latency p99 under the seeded 10% adversary with
-//!   the adaptive RTO estimator, plus the fixed-RTO schedule as a
-//!   non-gated reference,
+//! * per-frame recovery latency p99 under the seeded 10% adversary,
 //! * the engine's own telemetry view of deliver latency (histogram p50),
 //!   which cross-checks the external stopwatch numbers.
 //!
@@ -49,8 +47,8 @@ use flipc_engine::node::InlineCluster;
 use flipc_engine::transport::Transport;
 use flipc_engine::wire::Frame;
 use flipc_net::{
-    udp_transport, FaultConfig, FaultInjector, ManualClock, MemHub, NetConfig, NetTransport,
-    NodeAddr, NodeMap,
+    udp_transport, FaultConfig, FaultInjector, ManualClock, MemHub, MemLink, NetConfig,
+    NetTransport, NodeAddr, NodeMap,
 };
 use flipc_obs::merge::{merge, NodeInput};
 use flipc_obs::{trace_ring, TraceEvent};
@@ -340,8 +338,8 @@ fn run_suite(quick: bool) -> Report {
     });
 
     // --- Batched wire path: the same open-loop shape driven through the
-    // reliability layer with the per-peer frame coalescer enabled, so the
-    // jumbo-datagram path (pack, seal, fan-out) is what gets measured.
+    // reliability layer, so the jumbo-datagram path (pack, seal, fan-out)
+    // is what gets measured.
     report.push(Metric {
         name: "batched_throughput_msgs_per_sec".into(),
         unit: "msg/s".into(),
@@ -355,11 +353,11 @@ fn run_suite(quick: bool) -> Report {
     // --- Seeded-loss recovery: the same fixed adversary every run.
     let frames = if quick { 200 } else { 1000 };
     for (loss_pct, loss) in [(1u32, 0.01f64), (10, 0.10)] {
-        let (delivered, retransmitted) = lossy_delivery(loss, frames);
+        let run = lossy_run(loss, frames);
         report.push(Metric {
             name: format!("loss{loss_pct}_delivery_ratio"),
             unit: "ratio".into(),
-            value: delivered as f64 / frames as f64,
+            value: run.delivered as f64 / frames as f64,
             p50: None,
             p99: None,
             direction: Direction::HigherIsBetter,
@@ -370,33 +368,27 @@ fn run_suite(quick: bool) -> Report {
             unit: "frames".into(),
             // Loss-free padding so a zero-retransmit run still yields a
             // positive, comparable value.
-            value: (retransmitted as f64 + 1.0) / frames as f64,
+            value: (run.retransmitted as f64 + 1.0) / frames as f64,
             p50: None,
             p99: None,
             direction: Direction::LowerIsBetter,
             gate: true,
         });
-    }
-
-    // --- Per-frame recovery latency under the same seeded 10% adversary:
-    // the adaptive estimator (gated) against the fixed-RTO schedule
-    // (reported as the reference point). Manual-clock ticks are nominal
-    // nanoseconds, and the fault schedule is seed-fixed, so these numbers
-    // are exactly reproducible per build.
-    for (name, adaptive, gate) in [
-        ("loss_recovery_adaptive_p99_ns", true, true),
-        ("loss_recovery_fixed_p99_ns", false, false),
-    ] {
-        let (p50, p99) = lossy_recovery_latency(0.10, frames, adaptive);
-        report.push(Metric {
-            name: name.into(),
-            unit: "ns".into(),
-            value: p99,
-            p50: Some(p50),
-            p99: Some(p99),
-            direction: Direction::LowerIsBetter,
-            gate,
-        });
+        // Per-frame recovery latency under the 10% adversary.
+        // Manual-clock ticks are nominal nanoseconds, and the fault
+        // schedule is seed-fixed, so the number is exactly reproducible
+        // per build.
+        if loss_pct == 10 {
+            report.push(Metric {
+                name: "loss_recovery_adaptive_p99_ns".into(),
+                unit: "ns".into(),
+                value: run.p99,
+                p50: Some(run.p50),
+                p99: Some(run.p99),
+                direction: Direction::LowerIsBetter,
+                gate: true,
+            });
+        }
     }
 
     // --- Workload-level metrics over the deterministic chaos cluster.
@@ -584,8 +576,6 @@ fn tiered_high_class_latency(quick: bool) -> (f64, f64) {
 /// retransmit ratio bounded while the link drains at capacity.
 fn congested_goodput(quick: bool) -> f64 {
     let frames = if quick { 200 } else { 600 } as u32;
-    let hub = MemHub::new(2, 4096);
-    let clock = ManualClock::new();
     // The initial RTO must sit above the shaped link's worst-case queue
     // service time, or the first timeout fires before the first ack can
     // possibly return, Karn's rule then discards every RTT sample, and
@@ -602,50 +592,22 @@ fn congested_goodput(quick: bool) -> f64 {
         bandwidth_bps: 2_000_000,
         ..FaultConfig::default()
     };
-    let mut a: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(0),
-        &[FlipcNodeId(1)],
-        FaultInjector::new(hub.link(FlipcNodeId(0)), shaped, 0xF11C),
-        clock.clone(),
-        cfg,
-    );
-    let mut b: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(1),
-        &[FlipcNodeId(0)],
-        hub.link(FlipcNodeId(1)),
-        clock.clone(),
-        cfg,
-    );
-
-    let frame = Frame {
-        src: EndpointAddress::new(FlipcNodeId(0), EndpointIndex(0), 1),
-        dst: EndpointAddress::new(FlipcNodeId(1), EndpointIndex(0), 1),
-        payload: vec![0xAB; 56].into(),
-        stamp_ns: 0,
-    };
-    let mut sent = 0u32;
-    let mut delivered = 0u32;
-    let mut now = 0u64;
+    let mut pair = MemPair::new(cfg, shaped);
+    let (mut sent, mut delivered) = (0u32, 0u32);
     let mut budget = frames * 600;
     while delivered < frames && budget > 0 {
         budget -= 1;
-        if sent < frames && a.try_send(FlipcNodeId(1), &frame) {
-            sent += 1;
-        }
-        while b.try_recv().is_some() {
-            delivered += 1;
-        }
-        let _ = a.try_recv(); // processes acks + services timers
-        clock.advance(25);
-        now += 25;
+        let (accepted, arrived) = pair.step(u32::from(sent < frames), 25);
+        sent += accepted;
+        delivered += arrived;
     }
     assert_eq!(delivered, frames, "congested goodput bench failed to drain");
-    let retransmitted = a.stats().snapshot().paths[0].retransmitted;
+    let retransmitted = pair.a.stats().snapshot().paths[0].retransmitted;
     assert!(
         retransmitted <= frames,
         "retransmit storm under congestion: {retransmitted} for {frames} frames"
     );
-    delivered as f64 * 1e9 / now.max(1) as f64
+    delivered as f64 * 1e9 / pair.now.max(1) as f64
 }
 
 /// High-class delivery latency while the bulk tier saturates a
@@ -833,42 +795,17 @@ fn sustained_throughput(quick: bool) -> f64 {
     }
 }
 
-/// Open-loop throughput through the reliability layer with the per-peer
-/// frame coalescer on: the sender fills the go-back-N window, seals the
-/// staged jumbos with an explicit [`Transport::flush`] (exactly what the
-/// engine does at the end of each drain pass), and the receiver fans the
-/// batches back out through the ordinary dedup window. Wall-clock rate
-/// over the measured window; the manual clock crawls so retransmit
-/// timers never fire and the number is the clean batched path.
+/// Open-loop throughput through the reliability layer: the sender fills
+/// the go-back-N window, the step's flush seals the staged jumbos, and the
+/// receiver fans the batches back out through the ordinary dedup window.
+/// Wall-clock rate over the measured window; the manual clock crawls so
+/// retransmit timers never fire and the number is the clean batched path.
 fn batched_throughput(quick: bool) -> f64 {
-    let hub = MemHub::new(2, 8192);
-    let clock = ManualClock::new();
     let cfg = NetConfig {
         window: 256,
-        coalesce: true,
         ..NetConfig::default()
     };
-    let mut a: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(0),
-        &[FlipcNodeId(1)],
-        hub.link(FlipcNodeId(0)),
-        clock.clone(),
-        cfg,
-    );
-    let mut b: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(1),
-        &[FlipcNodeId(0)],
-        hub.link(FlipcNodeId(1)),
-        clock.clone(),
-        cfg,
-    );
-
-    let frame = Frame {
-        src: EndpointAddress::new(FlipcNodeId(0), EndpointIndex(0), 1),
-        dst: EndpointAddress::new(FlipcNodeId(1), EndpointIndex(0), 1),
-        payload: vec![0xAB; 56].into(),
-        stamp_ns: 0,
-    };
+    let mut pair = MemPair::new(cfg, FaultConfig::default());
     let (warmup, window): (u64, u64) = if quick {
         (5_000, 50_000)
     } else {
@@ -879,13 +816,7 @@ fn batched_throughput(quick: bool) -> f64 {
     let mut start = Instant::now();
     loop {
         // Fill the send window; every frame stages into the coalescer.
-        while a.try_send(FlipcNodeId(1), &frame) {}
-        a.flush();
-        while b.try_recv().is_some() {
-            delivered += 1;
-        }
-        let _ = a.try_recv(); // process acks so the window frees
-        clock.advance(1);
+        delivered += u64::from(pair.step(u32::MAX, 1).1);
         if window_base.is_none() && delivered >= warmup {
             window_base = Some(delivered);
             start = Instant::now();
@@ -1159,14 +1090,83 @@ fn cross_node_chain_latency(warmup: usize, iters: usize) -> (f64, f64) {
     (percentile(&lat, 0.5) as f64, percentile(&lat, 0.99) as f64)
 }
 
+/// A sender/receiver [`NetTransport`] pair over an in-memory hub, stepped
+/// on a manual clock. The sender's link runs through a seeded fault
+/// injector (a pass-through under `FaultConfig::default()`), and every
+/// send is the same 56-byte-payload frame.
+struct MemPair {
+    a: NetTransport<FaultInjector<MemLink>, ManualClock>,
+    b: NetTransport<MemLink, ManualClock>,
+    clock: ManualClock,
+    frame: Frame,
+    /// Manual-clock ticks stepped so far.
+    now: u64,
+}
+
+impl MemPair {
+    fn new(cfg: NetConfig, fault: FaultConfig) -> MemPair {
+        let hub = MemHub::new(2, 4096);
+        let clock = ManualClock::new();
+        let (n0, n1) = (FlipcNodeId(0), FlipcNodeId(1));
+        MemPair {
+            a: NetTransport::new(
+                n0,
+                &[n1],
+                FaultInjector::new(hub.link(n0), fault, 0xF11C),
+                clock.clone(),
+                cfg,
+            ),
+            b: NetTransport::new(n1, &[n0], hub.link(n1), clock.clone(), cfg),
+            clock,
+            frame: Frame {
+                src: EndpointAddress::new(n0, EndpointIndex(0), 1),
+                dst: EndpointAddress::new(n1, EndpointIndex(0), 1),
+                payload: vec![0xAB; 56].into(),
+                stamp_ns: 0,
+            },
+            now: 0,
+        }
+    }
+
+    /// One step: offers the frame up to `offer` times (stopping at the
+    /// first refusal), flushes the batch boundary as the engine does at
+    /// the end of a drain pass, drains the receiver, lets the sender
+    /// process acks and service its timers, then advances the clock by
+    /// `tick`. Returns `(frames accepted, frames delivered)`.
+    fn step(&mut self, offer: u32, tick: u64) -> (u32, u32) {
+        let mut accepted = 0;
+        while accepted < offer && self.a.try_send(FlipcNodeId(1), &self.frame) {
+            accepted += 1;
+        }
+        self.a.flush();
+        let mut delivered = 0;
+        while self.b.try_recv().is_some() {
+            delivered += 1;
+        }
+        let _ = self.a.try_recv();
+        self.clock.advance(tick);
+        self.now += tick;
+        (accepted, delivered)
+    }
+}
+
+/// What one seeded-loss run observed.
+struct LossyRun {
+    /// Frames delivered in order.
+    delivered: u32,
+    /// Frames the sender retransmitted.
+    retransmitted: u32,
+    /// Send→deliver latency percentiles, manual-clock ticks.
+    p50: f64,
+    p99: f64,
+}
+
 /// Pushes `frames` frames through the reliability layer over a seeded
-/// lossy in-memory link (sender side drops with probability `loss`);
-/// returns (frames delivered in order, frames retransmitted). The fault
-/// schedule depends only on the seed, so a given build always sees the
-/// same adversary.
-fn lossy_delivery(loss: f64, frames: u32) -> (u32, u32) {
-    let hub = MemHub::new(2, 4096);
-    let clock = ManualClock::new();
+/// lossy in-memory link (sender side drops with probability `loss`). The
+/// fault schedule depends only on the seed, so a given build always sees
+/// the same adversary. Go-back-N delivers in order, so the i-th delivery
+/// pairs with the i-th send for the latency samples.
+fn lossy_run(loss: f64, frames: u32) -> LossyRun {
     // `rto_min` must sit below the in-memory link's observed RTT scale or
     // the adaptive estimator pins at the clamp and the schedule stops
     // resembling the fixed baseline the historical numbers were cut from.
@@ -1177,107 +1177,26 @@ fn lossy_delivery(loss: f64, frames: u32) -> (u32, u32) {
         rto_max: 800,
         ..NetConfig::default()
     };
-    let mut a: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(0),
-        &[FlipcNodeId(1)],
-        FaultInjector::new(hub.link(FlipcNodeId(0)), FaultConfig::lossy(loss), 0xF11C),
-        clock.clone(),
-        cfg,
-    );
-    let mut b: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(1),
-        &[FlipcNodeId(0)],
-        hub.link(FlipcNodeId(1)),
-        clock.clone(),
-        cfg,
-    );
-
-    let frame = Frame {
-        src: EndpointAddress::new(FlipcNodeId(0), EndpointIndex(0), 1),
-        dst: EndpointAddress::new(FlipcNodeId(1), EndpointIndex(0), 1),
-        payload: vec![0xAB; 56].into(),
-        stamp_ns: 0,
-    };
-    let mut sent = 0u32;
-    let mut delivered = 0u32;
-    // Time advances one tick per pump; the retransmit timers fire on the
-    // manual clock, so recovery is deterministic.
-    let mut budget = frames * 400;
-    while delivered < frames && budget > 0 {
-        budget -= 1;
-        if sent < frames && a.try_send(FlipcNodeId(1), &frame) {
-            sent += 1;
-        }
-        while b.try_recv().is_some() {
-            delivered += 1;
-        }
-        let _ = a.try_recv(); // processes acks + services timers
-        clock.advance(25);
-    }
-    let retransmitted = a.stats().snapshot().paths[0].retransmitted;
-    (delivered, retransmitted)
-}
-
-/// Send→deliver latency per frame (in manual-clock ticks ≙ ns) through
-/// the reliability layer under the seeded 10%-class adversary, with the
-/// RTO estimator switched by `adaptive`; returns `(p50, p99)`. Go-back-N
-/// delivers in order, so the i-th delivery pairs with the i-th send.
-fn lossy_recovery_latency(loss: f64, frames: u32, adaptive: bool) -> (f64, f64) {
-    let hub = MemHub::new(2, 4096);
-    let clock = ManualClock::new();
-    let cfg = NetConfig {
-        window: 32,
-        rto: 100,
-        rto_min: 25,
-        rto_max: 800,
-        adaptive_rto: adaptive,
-        ..NetConfig::default()
-    };
-    let mut a: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(0),
-        &[FlipcNodeId(1)],
-        FaultInjector::new(hub.link(FlipcNodeId(0)), FaultConfig::lossy(loss), 0xF11C),
-        clock.clone(),
-        cfg,
-    );
-    let mut b: NetTransport<_, _> = NetTransport::new(
-        FlipcNodeId(1),
-        &[FlipcNodeId(0)],
-        hub.link(FlipcNodeId(1)),
-        clock.clone(),
-        cfg,
-    );
-
-    let frame = Frame {
-        src: EndpointAddress::new(FlipcNodeId(0), EndpointIndex(0), 1),
-        dst: EndpointAddress::new(FlipcNodeId(1), EndpointIndex(0), 1),
-        payload: vec![0xAB; 56].into(),
-        stamp_ns: 0,
-    };
-    let mut sent = 0u32;
-    let mut now = 0u64;
+    let mut pair = MemPair::new(cfg, FaultConfig::lossy(loss));
     let mut send_times: Vec<u64> = Vec::with_capacity(frames as usize);
     let mut latencies: Vec<u64> = Vec::with_capacity(frames as usize);
     let mut budget = frames * 400;
     while (latencies.len() as u32) < frames && budget > 0 {
         budget -= 1;
-        if sent < frames && a.try_send(FlipcNodeId(1), &frame) {
-            send_times.push(now);
-            sent += 1;
+        let now = pair.now;
+        let (accepted, arrived) = pair.step(u32::from((send_times.len() as u32) < frames), 25);
+        send_times.extend((0..accepted).map(|_| now));
+        for _ in 0..arrived {
+            latencies.push(now - send_times[latencies.len()]);
         }
-        while b.try_recv().is_some() {
-            let i = latencies.len();
-            latencies.push(now - send_times[i]);
-        }
-        let _ = a.try_recv(); // processes acks + services timers
-        clock.advance(25);
-        now += 25;
     }
     latencies.sort_unstable();
-    (
-        percentile(&latencies, 0.5) as f64,
-        percentile(&latencies, 0.99) as f64,
-    )
+    LossyRun {
+        delivered: latencies.len() as u32,
+        retransmitted: pair.a.stats().snapshot().paths[0].retransmitted,
+        p50: percentile(&latencies, 0.5) as f64,
+        p99: percentile(&latencies, 0.99) as f64,
+    }
 }
 
 /// Human-readable one-screen summary printed alongside the JSON artifact.

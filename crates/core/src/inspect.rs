@@ -307,13 +307,13 @@ pub struct TransportSnapshot {
     /// Distribution of go-back-N burst sizes (frames re-sent per retransmit
     /// round), node scope.
     pub retransmit_burst: HistogramSnapshot,
-    /// Coalesced Batch datagrams transmitted (zero unless the transport's
-    /// coalescer is enabled), node scope.
+    /// Coalesced Batch datagrams transmitted (a lone staged frame leaves
+    /// as plain Data and is not counted), node scope.
     pub batch_datagrams: u32,
     /// Sub-frames carried inside coalesced Batch datagrams, node scope.
     pub batch_frames: u32,
     /// Distribution of sub-frames per transmitted Batch datagram (one
-    /// sample per flush), node scope.
+    /// sample per Batch sent), node scope.
     pub batch_size: HistogramSnapshot,
 }
 

@@ -63,7 +63,7 @@ pub trait Transport: Send {
     /// every outgoing drain pass, after it has offered up to
     /// `max_batch` frames per endpoint via [`Transport::try_send`]. A
     /// coalescing transport transmits whatever it staged during the pass;
-    /// transports that send eagerly (the loopback fabric, an uncoalesced
-    /// wire) have nothing to do — the default is a no-op.
+    /// transports that send eagerly (the loopback fabric) have nothing to
+    /// do — the default is a no-op.
     fn flush(&mut self) {}
 }

@@ -112,6 +112,10 @@ const CHECK_OFFSET: usize = 14;
 pub const MAX_DATAGRAM: usize = 9 * 1024;
 /// Byte length of the per-sub-frame length prefix inside a Batch.
 pub const SUBFRAME_PREFIX: usize = 2;
+/// Largest Batch datagram the transport's coalescer assembles, header
+/// included: an Ethernet MTU less IP/UDP headers, so a batch never
+/// fragments. Frames that can never fit under it go out as plain Data.
+pub const BATCH_MTU: usize = 1_400;
 
 /// One decoded `flipc-net` datagram.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -290,9 +294,9 @@ impl BatchBuilder {
         self.count
     }
 
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
+    /// Sequence of the first staged sub-frame (meaningful when nonempty).
+    pub fn first_seq(&self) -> u32 {
+        self.first_seq
     }
 
     /// True if a sub-frame of `encoded_len` bytes would fit in an *empty*
@@ -714,7 +718,7 @@ mod tests {
         assert!(b.push(1, &frame(1).encode()));
         assert!(b.finish(FlipcNodeId(0), 1).is_some());
         b.clear();
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
         assert!(b.push(7, &frame(9).encode()));
         let bytes = b.finish(FlipcNodeId(0), 2).unwrap().to_vec();
         match decode(&bytes).unwrap() {

@@ -7,14 +7,15 @@
 //!
 //! * **Sender** ([`SenderPath`]): per-peer sequence numbers and a bounded
 //!   retransmit ring of already-encoded datagrams. Nothing is waited for —
-//!   a frame goes on the wire the moment the engine offers it, and the
-//!   only cost on the happy path is one ring push. When the cumulative
-//!   acknowledgement stalls past a timeout, the whole unacknowledged ring
-//!   is resent (go-back-N) and the timeout backs off exponentially to a
-//!   cap. The timeout itself is *adaptive* ([`RttEstimator`]): an
-//!   RFC-6298-style SRTT/RTTVAR filter fed by per-frame ack RTT samples
-//!   (Karn's rule: retransmitted frames never produce samples), so the
-//!   recovery latency tracks the path instead of a fixed schedule.
+//!   a frame goes on the wire at the end of the engine pass that offered
+//!   it, and the only cost on the happy path is one ring push. When the
+//!   cumulative acknowledgement stalls past a timeout, the whole
+//!   unacknowledged ring is resent (go-back-N) and the timeout backs off
+//!   exponentially to a cap. The timeout itself is *adaptive*
+//!   ([`RttEstimator`]): an RFC-6298-style SRTT/RTTVAR filter fed by
+//!   per-frame ack RTT samples (Karn's rule: retransmitted frames never
+//!   produce samples), so the recovery latency tracks the path instead of
+//!   a fixed schedule.
 //! * **Receiver** ([`ReceiverPath`]): in-order delivery with a bounded
 //!   reorder window. Frames ahead of the expected sequence are parked (up
 //!   to the window), duplicates and stale arrivals are dropped and
@@ -62,11 +63,6 @@ pub struct NetConfig {
     pub rto_min: u64,
     /// Backoff cap for the retransmit timeout, in clock ticks.
     pub rto_max: u64,
-    /// Feed observed ack RTTs back into the timeout
-    /// (`clamp(srtt + 4·rttvar)`). When `false` the fixed
-    /// `rto`-with-backoff schedule is kept (the pre-adaptive behaviour,
-    /// still used as the comparison baseline by `bench-report`).
-    pub adaptive_rto: bool,
     /// Strikes (failed retransmit rounds or unanswered heartbeats) before
     /// a peer is demoted from `Healthy` to `Suspect`.
     pub suspect_strikes: u32,
@@ -83,25 +79,6 @@ pub struct NetConfig {
     /// epoch so peers detect the restart immediately; the transport also
     /// bumps it per path when it declares a peer dead.
     pub initial_epoch: u16,
-    /// Max datagrams drained from the wire per transport poll.
-    pub recv_burst: usize,
-    /// Coalesce consecutive sends to one peer into MTU-bounded Batch
-    /// datagrams. First transmissions are staged per peer and flushed on
-    /// the batch boundary (`Transport::flush`, an MTU-full batch, or the
-    /// next poll); retransmissions always go out as plain per-frame Data
-    /// datagrams. Off by default: latency-first callers keep the
-    /// one-datagram-per-frame path.
-    pub coalesce: bool,
-    /// Largest coalesced datagram, bytes, header included. Clamped into
-    /// `[packet::HEADER_LEN + 3, packet::MAX_DATAGRAM]`; frames that can
-    /// never fit under the bound bypass coalescing as plain Data.
-    pub coalesce_mtu: usize,
-    /// Floor for the receiver-granted credit window ([`CreditGrantor`]):
-    /// however congested, the grant never shrinks below this, which is
-    /// what guarantees regrow liveness (a window of ≥ 1 always lets the
-    /// probe frame through that earns the next additive increase).
-    /// Clamped to at least 1.
-    pub credit_min: u32,
     /// Deficit-round-robin quantum ([`DrrArbiter`]): how many frames one
     /// source endpoint may admit per round while other endpoints on the
     /// same peer path are waiting. Bounds priority inversion to one
@@ -126,15 +103,10 @@ impl Default for NetConfig {
             rto: 5_000,
             rto_min: 1_000,
             rto_max: 80_000,
-            adaptive_rto: true,
             suspect_strikes: 3,
             dead_strikes: 12,
             heartbeat_interval: 200_000,
             initial_epoch: 1,
-            recv_burst: 128,
-            coalesce: false,
-            coalesce_mtu: 1_400,
-            credit_min: 1,
             drr_quantum: 4,
             dead_probe_interval: 1_600_000,
         }
@@ -393,18 +365,9 @@ impl SenderPath {
             self.estimator.observe(rtt);
         }
         self.cum_acked = cumulative;
-        self.rto_cur = self.current_rto();
+        self.rto_cur = self.estimator.rto(&self.cfg);
         self.last_progress = now;
         freed
-    }
-
-    /// The un-backed-off timeout the configuration implies right now.
-    fn current_rto(&self) -> u64 {
-        if self.cfg.adaptive_rto {
-            self.estimator.rto(&self.cfg)
-        } else {
-            self.cfg.rto.min(self.cfg.rto_max)
-        }
     }
 
     /// Checks the retransmit timer. If the path has stalled past the
@@ -439,13 +402,24 @@ impl SenderPath {
         self.unacked.clear();
         self.next_seq = 1;
         self.cum_acked = 0;
-        self.rto_cur = self.current_rto();
+        self.rto_cur = self.estimator.rto(&self.cfg);
         // The peer may be a new incarnation: forget its grant and drop
         // baseline and start optimistic again, like a fresh path.
         self.remote_credit = self.cfg.window;
         self.peer_drops = 0;
         self.peer_drops_seen = false;
         failed
+    }
+
+    /// The encoded datagram for in-flight sequence `seq`, or `None` once
+    /// it has been acknowledged (or was never admitted). The ring holds
+    /// `cum_acked + 1 ..` contiguously, so this is one index.
+    pub fn datagram(&self, seq: u32) -> Option<&[u8]> {
+        let k = seq.wrapping_sub(self.cum_acked.wrapping_add(1)) as usize;
+        self.unacked
+            .get(k)
+            .filter(|f| f.seq == seq)
+            .map(|f| f.bytes.as_slice())
     }
 
     /// Current retransmit timeout (exposed for backoff-cap tests and the
@@ -558,12 +532,12 @@ impl ReceiverPath {
 /// counter rather than by loss inference at the sender:
 ///
 /// * **Multiplicative shrink**: any out-of-window discard since the last
-///   advertisement halves the grant (floored at `cfg.credit_min` ≥ 1) —
-///   the peer is outrunning our reorder window or our drain rate, and a
-///   smaller window converts its go-back-N flooding into backpressure.
+///   advertisement halves the grant (floored at 1) — the peer is
+///   outrunning our reorder window or our drain rate, and a smaller
+///   window converts its go-back-N flooding into backpressure.
 /// * **Additive regrow**: an advertisement round with delivery progress
 ///   and no new drops raises the grant by one, back up to `cfg.window`.
-///   Because the floor is ≥ 1, a probe frame can always get through to
+///   Because the floor is 1, a probe frame can always get through to
 ///   earn the next increase: the window degrades gracefully and can
 ///   never wedge shut.
 ///
@@ -575,8 +549,6 @@ impl ReceiverPath {
 pub struct CreditGrantor {
     /// Current grant (frames).
     window: u32,
-    /// Shrink floor (≥ 1).
-    min: u32,
     /// Regrow ceiling (the configured sender window).
     max: u32,
     /// Cumulative receive-side drops (wrapping).
@@ -591,11 +563,9 @@ pub struct CreditGrantor {
 impl CreditGrantor {
     /// A fresh grantor starting fully open at the configured window.
     pub fn new(cfg: &NetConfig) -> CreditGrantor {
-        let min = cfg.credit_min.max(1);
-        let max = cfg.window.max(min);
+        let max = cfg.window.max(1);
         CreditGrantor {
             window: max,
-            min,
             max,
             drops: 0,
             drops_at_last: 0,
@@ -631,7 +601,7 @@ impl CreditGrantor {
         let fresh_drops = self.drops.wrapping_sub(self.drops_at_last);
         let mut shrank = false;
         if fresh_drops != 0 {
-            let next = (self.window / 2).max(self.min);
+            let next = (self.window / 2).max(1);
             shrank = next < self.window;
             self.window = next;
             self.drops_at_last = self.drops;
@@ -1109,19 +1079,7 @@ mod tests {
         let srtt = s.srtt();
         assert!((20..=80).contains(&srtt), "srtt converged near 40: {srtt}");
         assert!(s.rto() >= 40, "timeout at least the observed RTT");
-        assert!(s.rto() < 100, "timeout adapted below the fixed schedule");
-        // The fixed-schedule configuration ignores the samples.
-        let mut fixed = SenderPath::new(NetConfig {
-            adaptive_rto: false,
-            ..cfg()
-        });
-        let mut now = 0;
-        for _ in 0..8 {
-            fixed.admit(now, bytes_for).unwrap();
-            now += 40;
-            fixed.on_ack(now, fixed.next_seq.wrapping_sub(1));
-        }
-        assert_eq!(fixed.rto(), 100, "fixed schedule keeps the configured rto");
+        assert!(s.rto() < 100, "timeout adapted below the initial schedule");
     }
 
     #[test]
@@ -1442,11 +1400,7 @@ mod tests {
 
     #[test]
     fn grantor_shrinks_on_drops_and_regrows_additively() {
-        let cfg = NetConfig {
-            window: 8,
-            credit_min: 1,
-            ..cfg()
-        };
+        let cfg = NetConfig { window: 8, ..cfg() };
         let mut g = CreditGrantor::new(&cfg);
         assert_eq!(g.window(), 8);
         // A clean round with deliveries holds at the ceiling.
@@ -1462,7 +1416,7 @@ mod tests {
         assert_eq!(g.advertise(), (1, 4, true));
         g.on_drop();
         let (w, _, shrank) = g.advertise();
-        assert_eq!(w, 1, "floored at credit_min");
+        assert_eq!(w, 1, "floored at one frame");
         assert!(!shrank, "holding the floor is not a shrink");
         // Regrow needs delivery evidence: an idle round holds.
         assert_eq!(g.advertise().0, 1);

@@ -102,14 +102,14 @@ pub struct NetStats {
     /// Distribution of go-back-N burst sizes (frames re-sent per round).
     /// Same recorder discipline as `rto`.
     pub retransmit_burst: Histogram,
-    /// Coalesced Batch datagrams transmitted (one per flush with frames
-    /// staged).
+    /// Coalesced Batch datagrams transmitted (one per flush with two or
+    /// more frames staged; a lone frame leaves as plain Data).
     pub batch_datagrams: OwnedCounter,
     /// Sub-frames carried inside coalesced Batch datagrams.
     pub batch_frames: OwnedCounter,
     /// Distribution of sub-frames per transmitted Batch datagram. Same
     /// recorder discipline as `rto`: the transport records one sample per
-    /// flush.
+    /// Batch sent.
     pub batch_size: Histogram,
     /// The failure detector's shared verdict table. The transport is the
     /// single writer; hand a clone to [`flipc_core::api::Flipc::set_liveness`]

@@ -7,11 +7,14 @@
 //! reordering, deduplication, acknowledgement — happens here, off the
 //! happy path:
 //!
-//! * `try_send` is one ring push plus one `sendto`. No waiting for acks
-//!   (optimistic: send first). A full retransmit window is reported as
-//!   wire backpressure, which the engine already retries without losing
-//!   the frame — so the reliability layer is *bounded memory* by
-//!   construction and can never block the event loop.
+//! * `try_send` is one ring push plus a copy into the peer's batch stage.
+//!   The engine's end-of-pass [`Transport::flush`] (or the sender's next
+//!   poll) puts each peer's stage on the wire as one datagram: a lone
+//!   frame as its plain Data datagram, a run as one MTU-bounded Batch.
+//!   No waiting for acks (optimistic: send first). A full retransmit
+//!   window is reported as wire backpressure, which the engine already
+//!   retries without losing the frame — so the reliability layer is
+//!   *bounded memory* by construction and can never block the event loop.
 //! * `try_recv` drains a bounded burst of datagrams, applies the
 //!   reliability state machine, coalesces one cumulative ack per peer that
 //!   sent data, services retransmit timers and idle heartbeats, and hands
@@ -59,7 +62,7 @@ use flipc_engine::wire::Frame;
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::link::Link;
-use crate::packet::{self, BatchBuilder, Packet, HEADER_LEN, MAX_DATAGRAM};
+use crate::packet::{self, BatchBuilder, Packet, BATCH_MTU, HEADER_LEN, MAX_DATAGRAM};
 use crate::peers::NodeMap;
 use crate::reliability::{
     epoch_newer, ClockSync, CreditGrantor, DrrArbiter, LivenessTracker, NetConfig, ReceiverPath,
@@ -67,6 +70,9 @@ use crate::reliability::{
 };
 use crate::stats::NetStats;
 use crate::udp::UdpLink;
+
+/// Max datagrams drained from the wire per transport poll.
+const RECV_BURST: usize = 128;
 
 /// Per-peer protocol state (sender + receiver half of one path pair).
 struct PeerState {
@@ -83,8 +89,7 @@ struct PeerState {
     remote_epoch: Option<u16>,
     /// The failure detector for this peer.
     liveness: LivenessTracker,
-    /// Staged first transmissions awaiting the next coalesce flush
-    /// (unused — always empty — when `NetConfig::coalesce` is off).
+    /// Staged first transmissions awaiting the next batch boundary.
     batch: BatchBuilder,
     /// NTP-style offset/dispersion estimate of the peer's trace clock,
     /// fed by the heartbeat ping/pong exchange ([`crate::packet`] v3).
@@ -165,7 +170,7 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
                     epoch: cfg.initial_epoch,
                     remote_epoch: None,
                     liveness: LivenessTracker::new(now),
-                    batch: BatchBuilder::new(cfg.coalesce_mtu),
+                    batch: BatchBuilder::new(BATCH_MTU),
                     clock: ClockSync::new(),
                     credit: CreditGrantor::new(&cfg),
                     fair: DrrArbiter::new(&cfg),
@@ -265,27 +270,29 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
         self.publish_clock(i);
     }
 
-    /// Seals and transmits peer `i`'s staged batch, if any. A wire
-    /// refusal is charged per staged frame; the frames stay in the
+    /// Transmits peer `i`'s staged first transmissions, if any: a lone
+    /// frame as the sealed Data datagram already in the retransmit ring
+    /// (the same bytes, no second checksum), two or more as one Batch. A
+    /// wire refusal is charged per staged frame; the frames stay in the
     /// retransmit ring and the timers recover them like ordinary loss.
     fn flush_peer(&mut self, i: usize) {
-        if self.peers[i].batch.is_empty() {
+        let count = self.peers[i].batch.count();
+        if count == 0 {
             return;
         }
-        let dst = self.peers[i].node;
-        let local = self.local;
-        let epoch = self.peers[i].epoch;
-        let count = self.peers[i].batch.count();
-        let sent = match self.peers[i].batch.finish(local, epoch) {
-            Some(bytes) => self.link.send(dst, bytes),
-            None => false,
+        let peer = &mut self.peers[i];
+        let bytes = if count == 1 {
+            peer.sender.datagram(peer.batch.first_seq())
+        } else {
+            self.stats.batch_datagrams.writer().increment();
+            for _ in 0..count {
+                self.stats.batch_frames.writer().increment();
+            }
+            self.stats.batch_size.recorder().record(u64::from(count));
+            peer.batch.finish(self.local, peer.epoch)
         };
-        self.peers[i].batch.clear();
-        self.stats.batch_datagrams.writer().increment();
-        for _ in 0..count {
-            self.stats.batch_frames.writer().increment();
-        }
-        self.stats.batch_size.recorder().record(u64::from(count));
+        let sent = bytes.is_some_and(|b| self.link.send(peer.node, b));
+        peer.batch.clear();
         if !sent {
             for _ in 0..count {
                 self.stats.peers[i].wire_dropped.writer().increment();
@@ -360,7 +367,7 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
         // token-bucket shaper) refill and release before we drain it.
         self.link.on_tick(now);
         self.flush_all();
-        for _ in 0..self.cfg.recv_burst {
+        for _ in 0..RECV_BURST {
             let Some(n) = self.link.recv(&mut self.recv_buf) else {
                 break;
             };
@@ -710,13 +717,12 @@ impl<L: Link, C: Clock> Transport for NetTransport<L, C> {
         }
         let local = self.local;
         let epoch = self.peers[i].epoch;
-        // Coalescing: decide the flush *before* admitting so the staged
-        // run stays sequence-contiguous — a frame that will not fit (or
-        // can never fit under the MTU bound) forces the pending batch out
-        // first, then is staged into the empty builder (or bypasses it as
-        // plain Data).
-        let batchable = self.cfg.coalesce && self.peers[i].batch.can_ever_hold(frame.wire_len());
-        if self.cfg.coalesce && !self.peers[i].batch.fits(frame.wire_len()) {
+        // Decide the flush *before* admitting so the staged run stays
+        // sequence-contiguous: a frame that will not fit (or can never fit
+        // under the MTU bound) forces the pending stage out first, then is
+        // staged into the empty builder (or bypasses it as plain Data).
+        let batchable = self.peers[i].batch.can_ever_hold(frame.wire_len());
+        if !self.peers[i].batch.fits(frame.wire_len()) {
             self.flush_peer(i);
         }
         let peer = &mut self.peers[i];
@@ -730,29 +736,19 @@ impl<L: Link, C: Clock> Transport for NetTransport<L, C> {
         };
         let st = &self.stats.peers[i];
         st.sent.writer().increment();
-        if batchable {
-            // The admitted datagram's body (after the header) is exactly
-            // the `Frame::encode` bytes; its assigned sequence sits at
-            // header offset 8. Stage it; the flush boundary (MTU, the
-            // engine's end-of-drain flush, or the next pump) transmits.
+        // The admitted datagram's body (after the header) is exactly the
+        // `Frame::encode` bytes; its assigned sequence sits at header
+        // offset 8. Stage it; the batch boundary (MTU, the engine's
+        // end-of-pass flush, or the next pump) transmits. The pre-flush
+        // above guarantees the builder accepts a batchable frame.
+        let staged = batchable && {
             let seq = u32::from_le_bytes(bytes[8..12].try_into().unwrap_or_default());
-            let staged = peer.batch.push(seq, &bytes[HEADER_LEN..]);
-            debug_assert!(staged, "pre-flushed builder must accept the frame");
-            if !staged {
-                // Defensive (unreachable): fall back to a plain send so
-                // the frame is never silently stranded in the ring.
-                if !self.link.send(dst, bytes) {
-                    st.wire_dropped.writer().increment();
-                }
-            }
-        } else {
-            let sent = self.link.send(dst, bytes);
-            if !sent {
-                // The wire refused; the frame stays in the retransmit ring
-                // and the timer recovers it. Optimistic: the engine moves
-                // on.
-                st.wire_dropped.writer().increment();
-            }
+            peer.batch.push(seq, &bytes[HEADER_LEN..])
+        };
+        if !staged && !self.link.send(dst, bytes) {
+            // The wire refused; the frame stays in the retransmit ring and
+            // the timer recovers it. Optimistic: the engine moves on.
+            st.wire_dropped.writer().increment();
         }
         st.in_flight
             .store(self.peers[i].sender.in_flight(), Ordering::Relaxed);
@@ -859,6 +855,7 @@ mod tests {
         for i in 0..20u8 {
             assert!(a.try_send(FlipcNodeId(1), &frame(i)));
         }
+        a.flush();
         for i in 0..20u8 {
             let f = loop {
                 if let Some(f) = b.try_recv() {
@@ -889,6 +886,7 @@ mod tests {
             assert!(a.try_send(FlipcNodeId(1), &frame(i)));
         }
         assert!(!a.try_send(FlipcNodeId(1), &frame(9)), "window full");
+        a.flush();
         // Receiver drains and acks; sender frees the window.
         for _ in 0..4 {
             assert!(b.try_recv().is_some());
@@ -903,7 +901,6 @@ mod tests {
             window: 4,
             rto: 100,
             rto_max: 400,
-            adaptive_rto: false,
             // Keep the pre-lifecycle behaviour for this test: never give
             // up, so the bounded-retrickle property stays covered.
             dead_strikes: u32::MAX,
@@ -973,7 +970,6 @@ mod tests {
             window: 4,
             rto: 100,
             rto_max: 400,
-            adaptive_rto: false,
             suspect_strikes: 2,
             dead_strikes: 4,
             heartbeat_interval: 0,
@@ -1066,6 +1062,7 @@ mod tests {
             },
         );
         assert!(b.try_send(FlipcNodeId(0), &frame(7)));
+        b.flush();
         let f = loop {
             if let Some(f) = a.try_recv() {
                 break f;
@@ -1084,6 +1081,7 @@ mod tests {
         // "delivery unknown", not "never delivered" — so drain to the new
         // frame.
         assert!(a.try_send(FlipcNodeId(1), &frame(8)));
+        a.flush();
         loop {
             if let Some(f) = b.try_recv() {
                 if f.payload[0] == 8 {
@@ -1124,6 +1122,7 @@ mod tests {
         for i in 0..3u8 {
             assert!(b.try_send(FlipcNodeId(0), &frame(i)));
         }
+        b.flush();
         for _ in 0..3 {
             assert!(a.try_recv().is_some());
         }
@@ -1146,6 +1145,7 @@ mod tests {
         for i in 10..14u8 {
             assert!(b2.try_send(FlipcNodeId(0), &frame(i)));
         }
+        b2.flush();
         let mut got = Vec::new();
         while got.len() < 4 {
             if let Some(f) = a.try_recv() {
@@ -1245,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_rto_tracks_the_path_rtt() {
+    fn rto_tracks_the_path_rtt() {
         // One round-trip per 40-tick cycle: send, advance, receive+ack,
         // advance, collect. The estimator should settle near the cycle
         // RTT instead of the configured 5000-tick initial timeout.
@@ -1256,6 +1256,7 @@ mod tests {
         let (mut a, mut b, clock) = mem_pair(cfg);
         for i in 0..32u8 {
             assert!(a.try_send(FlipcNodeId(1), &frame(i)));
+            a.flush();
             clock.advance(20);
             assert!(b.try_recv().is_some());
             clock.advance(20);
@@ -1279,12 +1280,7 @@ mod tests {
 
     #[test]
     fn coalesced_frames_flow_in_order_and_count_batches() {
-        let cfg = NetConfig {
-            coalesce: true,
-            window: 64,
-            ..NetConfig::default()
-        };
-        let (mut a, mut b, _clock) = mem_pair(cfg);
+        let (mut a, mut b, _clock) = mem_pair(NetConfig::default());
         // A drain pass: many sends, one explicit batch-boundary flush
         // (exactly what the engine does at the end of pump_outgoing).
         for i in 0..20u8 {
@@ -1318,37 +1314,34 @@ mod tests {
 
     #[test]
     fn pump_flushes_staged_batches_for_raw_pollers() {
-        let cfg = NetConfig {
-            coalesce: true,
-            ..NetConfig::default()
-        };
-        let (mut a, mut b, _clock) = mem_pair(cfg);
+        let (mut a, mut b, _clock) = mem_pair(NetConfig::default());
         assert!(a.try_send(FlipcNodeId(1), &frame(7)));
+        assert!(a.try_send(FlipcNodeId(1), &frame(8)));
         // No explicit flush: a's own next poll must push the staged batch
         // out, or a caller that only polls would strand it forever.
         assert!(a.try_recv().is_none());
-        let f = loop {
-            if let Some(f) = b.try_recv() {
-                break f;
-            }
-        };
-        assert_eq!(f.payload[0], 7);
+        for tag in [7, 8] {
+            let f = loop {
+                if let Some(f) = b.try_recv() {
+                    break f;
+                }
+            };
+            assert_eq!(f.payload[0], tag);
+        }
         assert_eq!(a.stats().snapshot().batch_datagrams, 1);
     }
 
     #[test]
     fn oversized_frames_bypass_the_coalescer_as_plain_data() {
-        let cfg = NetConfig {
-            coalesce: true,
-            // Tiny MTU: the builder can hold nothing but the smallest
-            // frames, so a 16-byte-payload frame must go out plain.
-            coalesce_mtu: packet::HEADER_LEN + packet::SUBFRAME_PREFIX + 1,
-            window: 8,
-            ..NetConfig::default()
+        // A payload past the batch MTU can never be staged, so each frame
+        // must go out plain, and in order.
+        let big = |tag: u8| Frame {
+            payload: vec![tag; BATCH_MTU + 100].into(),
+            ..frame(tag)
         };
-        let (mut a, mut b, _clock) = mem_pair(cfg);
+        let (mut a, mut b, _clock) = mem_pair(NetConfig::default());
         for i in 0..4u8 {
-            assert!(a.try_send(FlipcNodeId(1), &frame(i)));
+            assert!(a.try_send(FlipcNodeId(1), &big(i)));
         }
         a.flush();
         for i in 0..4u8 {
@@ -1357,7 +1350,7 @@ mod tests {
                     break f;
                 }
             };
-            assert_eq!(f.payload[0], i);
+            assert_eq!(f.payload[..], big(i).payload[..]);
         }
         let s = a.stats().snapshot();
         assert_eq!(s.batch_datagrams, 0, "nothing fit the batch");
@@ -1371,7 +1364,6 @@ mod tests {
         // tick, not one per frame), and go-back-N recovers the whole gap.
         use crate::fault::{FaultConfig, FaultInjector};
         let cfg = NetConfig {
-            coalesce: true,
             window: 16,
             rto: 100,
             rto_max: 400,
@@ -1434,11 +1426,7 @@ mod tests {
         // An epoch reset mid-stage (dead declaration, forced resync) must
         // not leak old-epoch sub-frames into the new sequence space: a
         // flush after the bump would stamp them with the new epoch.
-        let cfg = NetConfig {
-            coalesce: true,
-            window: 8,
-            ..NetConfig::default()
-        };
+        let cfg = NetConfig::default();
         let hub = MemHub::new(2, 4096);
         let clock = ManualClock::new();
         let mut a = NetTransport::new(
@@ -1448,10 +1436,12 @@ mod tests {
             clock.clone(),
             cfg,
         );
-        assert!(
-            a.try_send(FlipcNodeId(1), &frame(1)),
-            "stages into the batch"
-        );
+        for i in 0..2u8 {
+            assert!(
+                a.try_send(FlipcNodeId(1), &frame(i)),
+                "stages into the batch"
+            );
+        }
         a.reset_sender_path(0);
         a.flush();
         let s = a.stats().snapshot();
@@ -1460,10 +1450,56 @@ mod tests {
             "the abandoned stage was cleared, not transmitted"
         );
         assert_eq!(
-            s.paths[0].failed, 1,
-            "staged frame failed back with the ring"
+            hub.link(FlipcNodeId(1)).recv(&mut [0u8; MAX_DATAGRAM]),
+            None,
+            "nothing reached the wire"
+        );
+        assert_eq!(
+            s.paths[0].failed, 2,
+            "staged frames failed back with the ring"
         );
         assert_eq!(s.paths[0].epoch, cfg.initial_epoch + 1);
+    }
+
+    #[test]
+    fn a_lone_frame_goes_out_as_its_data_datagram() {
+        let cfg = NetConfig::default();
+        let hub = MemHub::new(2, 4096);
+        let mut a = NetTransport::new(
+            FlipcNodeId(0),
+            &[FlipcNodeId(1)],
+            hub.link(FlipcNodeId(0)),
+            ManualClock::new(),
+            cfg,
+        );
+        let mut wire = hub.link(FlipcNodeId(1));
+        let mut buf = [0u8; MAX_DATAGRAM];
+        // One frame in a pass: the flush sends the sealed Data datagram
+        // already in the retransmit ring, byte for byte.
+        assert!(a.try_send(FlipcNodeId(1), &frame(1)));
+        a.flush();
+        let n = wire.recv(&mut buf).expect("one datagram");
+        let data = packet::encode_data(FlipcNodeId(0), 1, cfg.initial_epoch, &frame(1));
+        assert_eq!(Some(&buf[..n]), data.as_deref());
+        assert_eq!(wire.recv(&mut buf), None);
+        assert_eq!(a.stats().snapshot().batch_datagrams, 0);
+        // Two frames in a pass: one Batch datagram carrying both.
+        assert!(a.try_send(FlipcNodeId(1), &frame(2)));
+        assert!(a.try_send(FlipcNodeId(1), &frame(3)));
+        a.flush();
+        let n = wire.recv(&mut buf).expect("one datagram");
+        assert_eq!(
+            packet::decode(&buf[..n]),
+            Some(Packet::Batch {
+                src: FlipcNodeId(0),
+                first_seq: 2,
+                epoch: cfg.initial_epoch,
+                frames: vec![frame(2), frame(3)],
+            })
+        );
+        assert_eq!(wire.recv(&mut buf), None);
+        let s = a.stats().snapshot();
+        assert_eq!((s.batch_datagrams, s.batch_frames), (1, 2));
     }
 
     #[test]

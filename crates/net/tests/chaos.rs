@@ -38,9 +38,6 @@ fn seeds() -> Vec<u64> {
 }
 
 /// Lifecycle-tuned config: fast timers, small budget, idle heartbeats.
-/// `CHAOS_COALESCE=1` replays the whole matrix with the per-peer frame
-/// coalescer enabled, so every scenario also proves the batched wire
-/// path under the same fault schedules (CI runs one leg this way).
 fn cfg() -> NetConfig {
     NetConfig {
         window: 8,
@@ -50,7 +47,6 @@ fn cfg() -> NetConfig {
         suspect_strikes: 2,
         dead_strikes: 4,
         heartbeat_interval: 1_000,
-        coalesce: matches!(std::env::var("CHAOS_COALESCE").as_deref(), Ok("1")),
         ..NetConfig::default()
     }
 }

@@ -218,6 +218,47 @@ fn heavy_duplication_is_invisible_to_the_application() {
     );
 }
 
+/// The engine's drain pass is the batch boundary: four frames queued on
+/// one endpoint leave in one pass as one Batch datagram and arrive in
+/// order.
+#[test]
+fn one_drain_pass_is_one_batch_delivered_in_order() {
+    let mut w = world(NetConfig::default(), FaultConfig::default(), 0xBA7C);
+    let tx = w.apps[0]
+        .endpoint_allocate(EndpointType::Send, Importance::Normal)
+        .unwrap();
+    let rx = w.apps[1]
+        .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+        .unwrap();
+    let dest = w.apps[1].address(&rx);
+    for _ in 0..4 {
+        let b = w.apps[1].buffer_allocate().unwrap();
+        w.apps[1]
+            .provide_receive_buffer(&rx, b)
+            .map_err(|r| r.error)
+            .unwrap();
+    }
+    for i in 0..4u8 {
+        let mut t = w.apps[0].buffer_allocate().unwrap();
+        w.apps[0].payload_mut(&mut t)[0] = i;
+        w.apps[0].send(&tx, t, dest).map_err(|r| r.error).unwrap();
+    }
+    w.engines[0].iterate();
+    let s = w.stats[0].snapshot();
+    assert_eq!(s.paths[0].sent, 4);
+    assert_eq!(
+        (s.batch_datagrams, s.batch_frames),
+        (1, 4),
+        "one pass, one Batch"
+    );
+    w.engines[1].iterate();
+    let mut got = Vec::new();
+    while let Ok(Some(m)) = w.apps[1].recv(&rx) {
+        got.push(w.apps[1].payload(&m.token)[0]);
+    }
+    assert_eq!(got, vec![0, 1, 2, 3]);
+}
+
 /// A dead peer: the retransmit ring must stay bounded at the window, the
 /// backoff must cap the retransmit rate, and the engine loop must stay
 /// live (optimistic sends complete; excess queues; nothing blocks).
