@@ -47,11 +47,18 @@ impl Frame {
     /// Serializes the frame for byte-oriented transports (KKT, and any
     /// future network transport). Layout: `src:u64le | dst:u64le | payload`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + self.payload.len());
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the [`Frame::encode`] bytes to `out`, so a caller building
+    /// a larger message (a datagram behind its header) makes no
+    /// intermediate copy.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.src.pack().to_le_bytes());
         out.extend_from_slice(&self.dst.pack().to_le_bytes());
         out.extend_from_slice(&self.payload);
-        out
     }
 
     /// Deserializes a frame previously produced by [`Frame::encode`].

@@ -7,11 +7,11 @@
 //! and the sender's *session epoch*, and adds packet kinds for cumulative
 //! acknowledgements and idle-path heartbeats.
 //!
-//! Layout (little-endian), version 4:
+//! Layout (little-endian), version 5:
 //!
 //! ```text
 //! magic:   u16  0xF11C
-//! version: u8   4
+//! version: u8   5
 //! kind:    u8   1 = Data, 2 = Ack, 3 = Ping, 4 = Batch, 5 = Pong
 //! src:     u16  FLIPC node id of the sender
 //! len:     u16  Data: byte length of the embedded frame
@@ -24,8 +24,15 @@
 //!               Ping / Pong: 0
 //!               Batch: sequence number of the first sub-frame
 //! epoch:   u16  the sender's current session epoch on this path
-//! check:   u32  FNV-1a of the whole datagram with this field zeroed
+//! check:   u32  CRC32C of the whole datagram with this field zeroed
 //! ```
+//!
+//! Version 5 replaced the byte-at-a-time Fowler-Noll-Vo hash with CRC32C
+//! (Castagnoli) as the checksum, with the same field and the same
+//! read-as-zero rule. CRC32C detects every error burst of up to 32 bits,
+//! which the hash did not. CPUs with SSE4.2 compute it with the `crc32`
+//! instruction; elsewhere a slice-by-8 table does. The datagram sizes did
+//! not change.
 //!
 //! Version 4 adds receiver-granted flow control as a *payload extension*
 //! on Ack and Pong: an 8-byte trailer carrying the advertising node's
@@ -89,10 +96,11 @@ use flipc_engine::wire::Frame;
 pub const MAGIC: u16 = 0xF11C;
 /// Wire protocol version this build speaks (2 added the session epoch and
 /// the Ping heartbeat kind; 3 added the clock-sync timestamps on
-/// Ping/Pong; 4 added the credit-window extension on Ack/Pong). Mixed
-/// versions on one path reject each other's datagrams — both ends upgrade
-/// together, as with any header change.
-pub const VERSION: u8 = 4;
+/// Ping/Pong; 4 added the credit-window extension on Ack/Pong; 5 replaced
+/// the Fowler-Noll-Vo checksum with CRC32C). Mixed versions on one path
+/// reject each other's datagrams — both ends upgrade together, as with any
+/// header change.
+pub const VERSION: u8 = 5;
 /// Byte length of a Ping's timestamp payload (`t1`).
 pub const PING_BODY: usize = 8;
 /// Byte length of an Ack's credit-extension payload (`credit`,
@@ -212,18 +220,111 @@ fn header(kind: u8, src: FlipcNodeId, len: u16, seq: u32, epoch: u16) -> [u8; HE
     h
 }
 
-/// FNV-1a over the datagram with the check field read as zero.
+/// CRC32C of the datagram with the check field read as zero.
 fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for (i, &b) in bytes.iter().enumerate() {
-        let b = if (CHECK_OFFSET..CHECK_OFFSET + 4).contains(&i) {
-            0
-        } else {
-            b
-        };
-        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `checksum_sse42` needs SSE4.2, which the CPU was just
+        // checked to support.
+        return unsafe { checksum_sse42(bytes) };
     }
-    h
+    checksum_portable(bytes)
+}
+
+/// The datagram as the checksum reads it: the bytes before the check
+/// field, as many zeros as the field has bytes in `bytes` (fewer than
+/// four when `bytes` ends inside it), and the bytes after it.
+fn check_parts(bytes: &[u8]) -> [&[u8]; 3] {
+    let (head, rest) = bytes.split_at(bytes.len().min(CHECK_OFFSET));
+    let (field, tail) = rest.split_at(rest.len().min(4));
+    [head, &[0; 4][..field.len()], tail]
+}
+
+/// CRC32C's reflected polynomial.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// Slice-by-8 tables: `CRC32C_TABLE[0][b]` is the CRC of byte `b`, and
+/// `CRC32C_TABLE[k][b]` that of `b` followed by `k` zero bytes.
+static CRC32C_TABLE: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ CRC32C_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Table-driven [`checksum`], eight bytes per step: the path on CPUs
+/// without SSE4.2, and the reference the tests hold the SSE4.2 path to.
+fn checksum_portable(bytes: &[u8]) -> u32 {
+    let t = &CRC32C_TABLE;
+    let mut crc = !0u32;
+    for part in check_parts(bytes) {
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][usize::from(w[4])]
+                ^ t[2][usize::from(w[5])]
+                ^ t[1][usize::from(w[6])]
+                ^ t[0][usize::from(w[7])];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+    }
+    !crc
+}
+
+/// [`checksum`] with the SSE4.2 `crc32` instruction, eight bytes per step.
+///
+/// # Safety
+///
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn checksum_sse42(bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut crc = !0u32;
+    for part in check_parts(bytes) {
+        let mut words = part.chunks_exact(8);
+        let mut wide = u64::from(crc);
+        for w in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            wide = _mm_crc32_u64(wide, u64::from_le_bytes(word));
+        }
+        // The instruction leaves the 32-bit CRC in the low half.
+        crc = wide as u32;
+        for &b in words.remainder() {
+            crc = _mm_crc32_u8(crc, b);
+        }
+    }
+    !crc
 }
 
 /// Writes the checksum of the assembled datagram into its header.
@@ -238,13 +339,13 @@ fn seal(out: &mut [u8]) {
 /// Returns `None` if the frame is too large for one datagram (a
 /// misconfigured geometry; the caller treats it as undeliverable).
 pub fn encode_data(src: FlipcNodeId, seq: u32, epoch: u16, frame: &Frame) -> Option<Vec<u8>> {
-    let body = frame.encode();
-    if HEADER_LEN + body.len() > MAX_DATAGRAM || body.len() > u16::MAX as usize {
+    let body_len = frame.wire_len();
+    if HEADER_LEN + body_len > MAX_DATAGRAM || body_len > u16::MAX as usize {
         return None;
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&header(1, src, body.len() as u16, seq, epoch));
-    out.extend_from_slice(&body);
+    let mut out = Vec::with_capacity(HEADER_LEN + body_len);
+    out.extend_from_slice(&header(1, src, body_len as u16, seq, epoch));
+    frame.encode_into(&mut out);
     seal(&mut out);
     Some(out)
 }
@@ -524,6 +625,8 @@ pub fn decode(bytes: &[u8]) -> Option<Packet> {
 mod tests {
     use super::*;
     use flipc_core::endpoint::{EndpointAddress, EndpointIndex};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn frame(tag: u8) -> Frame {
         Frame {
@@ -605,11 +708,12 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_none());
         // Wrong version — including the epoch-less version 1, the
-        // clock-sync-less version 2, and the credit-less version 3.
+        // clock-sync-less version 2, the credit-less version 3, and the
+        // Fowler-Noll-Vo-checked version 4.
         let mut bad = good.clone();
         bad[2] = VERSION + 1;
         assert!(decode(&bad).is_none());
-        for old in [1u8, 2, 3] {
+        for old in [1u8, 2, 3, 4] {
             let mut bad = good.clone();
             bad[2] = old;
             assert!(decode(&bad).is_none());
@@ -644,6 +748,72 @@ mod tests {
             let mut bad = good.clone();
             bad[i] ^= 0x01;
             assert!(decode(&bad).is_none(), "ack flip of byte {i}");
+        }
+    }
+
+    /// `len` bytes from a generator seeded with `seed`.
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// The SSE4.2 path's checksum, or `None` where the CPU lacks SSE4.2.
+    #[cfg(target_arch = "x86_64")]
+    fn sse42(bytes: &[u8]) -> Option<u32> {
+        std::arch::is_x86_feature_detected!("sse4.2").then(|| {
+            // SAFETY: the CPU supports SSE4.2, checked just above.
+            unsafe { checksum_sse42(bytes) }
+        })
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn sse42(_: &[u8]) -> Option<u32> {
+        None
+    }
+
+    #[test]
+    fn checksum_is_crc32c_on_both_paths() {
+        // The standard CRC32C check value. Nine bytes end before the
+        // check field, so nothing is read as zero.
+        assert_eq!(checksum_portable(b"123456789"), 0xE306_9283);
+        if let Some(c) = sse42(b"123456789") {
+            assert_eq!(c, 0xE306_9283);
+        }
+        assert_eq!(checksum(b"123456789"), 0xE306_9283);
+    }
+
+    #[test]
+    fn sse42_and_portable_paths_agree_at_every_length() {
+        // Lengths 15..18 end inside the check field, so only part of it
+        // is read as zero.
+        let bytes = seeded_bytes(BATCH_MTU, 0xF11C);
+        for len in 0..=BATCH_MTU {
+            let portable = checksum_portable(&bytes[..len]);
+            if let Some(c) = sse42(&bytes[..len]) {
+                assert_eq!(c, portable, "length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn any_single_bit_flip_of_a_full_batch_is_rejected() {
+        // Two stream-sized frames and one of 320 B fill BATCH_MTU exactly.
+        let mut payload = seeded_bytes(504 + 504 + 320, 5).into_iter();
+        let mut b = BatchBuilder::new(BATCH_MTU);
+        for (seq, len) in [(1, 504), (2, 504), (3, 320)] {
+            let f = Frame {
+                payload: payload.by_ref().take(len).collect(),
+                ..frame(0)
+            };
+            assert!(b.push(seq, &f.encode()));
+        }
+        let mut bytes = b.finish(FlipcNodeId(3), 2).unwrap().to_vec();
+        assert_eq!(bytes.len(), BATCH_MTU);
+        assert!(decode(&bytes).is_some(), "the unmodified batch decodes");
+        for bit in 0..BATCH_MTU * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode(&bytes).is_none(), "flip of bit {bit} must reject");
+            bytes[bit / 8] ^= 1 << (bit % 8);
         }
     }
 

@@ -66,18 +66,25 @@ fn frame_mix() -> impl Strategy<Value = Vec<(u8, usize)>> {
     )
 }
 
-/// FNV-1a over the datagram with the check field read as zero — a test
-/// reimplementation (mirrors `packet::checksum`) so corruption tests can
-/// forge a *re-sealed* datagram whose only defect is the mangled field.
+/// CRC32C over the datagram with the check field read as zero, written
+/// into that field — a bit-at-a-time test reimplementation, independent of
+/// `packet`'s table and intrinsic, so corruption tests can forge a
+/// *re-sealed* datagram whose only defect is the mangled field.
 fn forge_seal(bytes: &mut [u8]) {
     const CHECK_OFFSET: usize = 14;
     bytes[CHECK_OFFSET..CHECK_OFFSET + 4].fill(0);
-    let mut h: u32 = 0x811c_9dc5;
+    let mut crc = !0u32;
     for &b in bytes.iter() {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0x82F6_3B78
+            } else {
+                crc >> 1
+            };
+        }
     }
-    bytes[CHECK_OFFSET..CHECK_OFFSET + 4].copy_from_slice(&h.to_le_bytes());
+    bytes[CHECK_OFFSET..CHECK_OFFSET + 4].copy_from_slice(&(!crc).to_le_bytes());
 }
 
 proptest! {
@@ -156,6 +163,11 @@ proptest! {
     ) {
         let frames: Vec<Frame> = mix.iter().map(|&(t, l)| frame(t, l)).collect();
         let mut d = pack_all(&frames, 2_000, 1).swap_remove(0);
+        // The forger must compute the real checksum, or every forged
+        // datagram fails it and the length checks go untested.
+        let mut unmangled = d.clone();
+        forge_seal(&mut unmangled);
+        prop_assert!(packet::decode(&unmangled).is_some(), "forge_seal matches packet's checksum");
         // Overwrite the first sub-frame's length prefix with an arbitrary
         // value and forge a valid checksum over the mangled datagram.
         let [lo, hi] = forged_len.to_le_bytes();
