@@ -11,17 +11,13 @@
 #![allow(missing_docs)] // criterion macros generate undocumented entry points
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::net::SocketAddr;
-use std::sync::Arc;
 
-use flipc_core::api::{Flipc, LocalEndpoint};
-use flipc_core::commbuf::CommBuffer;
-use flipc_core::endpoint::{EndpointType, FlipcNodeId, Importance};
+use flipc_bench::udp::{round, udp_nodes};
+use flipc_core::endpoint::{EndpointType, Importance};
 use flipc_core::layout::Geometry;
-use flipc_core::wait::WaitRegistry;
-use flipc_engine::engine::{Engine, EngineConfig};
+use flipc_engine::engine::EngineConfig;
 use flipc_engine::node::InlineCluster;
-use flipc_net::{udp_transport, NetConfig, NodeAddr, NodeMap};
+use flipc_net::NetConfig;
 
 /// Message sizes (header + payload) spanning the paper's 50–500 B range.
 const MSG_SIZES: [u32; 4] = [64, 128, 256, 512];
@@ -35,115 +31,14 @@ fn geometry(msg_size: u32) -> Geometry {
     }
 }
 
-struct Node {
-    app: Flipc,
-    engine: Engine,
-    tx: LocalEndpoint,
-    rx: LocalEndpoint,
-}
-
-impl Node {
-    fn new(engine: Engine, app: Flipc) -> Node {
-        let tx = app
-            .endpoint_allocate(EndpointType::Send, Importance::Normal)
-            .expect("ep");
-        let rx = app
-            .endpoint_allocate(EndpointType::Receive, Importance::Normal)
-            .expect("ep");
-        Node {
-            app,
-            engine,
-            tx,
-            rx,
-        }
-    }
-}
-
-/// Two engine-driven nodes joined by real UDP sockets on 127.0.0.1, both
-/// on ephemeral ports. Returned as (pinger, ponger): the pinger is node 1,
-/// which has a static route to node 0; node 0 learns node 1's port from
-/// the first ping's source address, like the demo server.
-fn udp_pair(geo: Geometry) -> (Node, Node) {
-    let mut map0 = NodeMap::new();
-    map0.insert(
-        FlipcNodeId(0),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    )
-    .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-    let t0 = udp_transport(&map0, FlipcNodeId(0), NetConfig::default()).expect("bind node 0");
-    let addr0 = t0.link().local_addr().expect("local addr");
-
-    let mut map1 = NodeMap::new();
-    map1.insert(FlipcNodeId(0), NodeAddr::Static(addr0)).insert(
-        FlipcNodeId(1),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    );
-    let t1 = udp_transport(&map1, FlipcNodeId(1), NetConfig::default()).expect("bind node 1");
-
-    let mut nodes = Vec::new();
-    for (i, t) in [Box::new(t0), Box::new(t1)].into_iter().enumerate() {
-        let cb = Arc::new(CommBuffer::new(geo).expect("geometry"));
-        let registry = WaitRegistry::new();
-        let app = Flipc::attach(cb.clone(), FlipcNodeId(i as u16), registry.clone());
-        nodes.push(Node::new(
-            Engine::new(cb, t, registry, EngineConfig::default()),
-            app,
-        ));
-    }
-    let node1 = nodes.pop().expect("node 1");
-    let node0 = nodes.pop().expect("node 0");
-    (node1, node0)
-}
-
-/// One full ping-pong through two engines pumped inline until delivery.
-fn roundtrip(a: &mut Node, b: &mut Node) {
-    let to_b = b.app.address(&b.rx);
-    let to_a = a.app.address(&a.rx);
-
-    let buf = b.app.buffer_allocate().expect("buffer");
-    b.app
-        .provide_receive_buffer(&b.rx, buf)
-        .map_err(|r| r.error)
-        .expect("provide");
-    let buf = a.app.buffer_allocate().expect("buffer");
-    a.app
-        .provide_receive_buffer(&a.rx, buf)
-        .map_err(|r| r.error)
-        .expect("provide");
-
-    let ping = a.app.buffer_allocate().expect("buffer");
-    a.app.send_unlocked(&a.tx, ping, to_b).expect("send");
-    let got = loop {
-        a.engine.iterate();
-        b.engine.iterate();
-        if let Some(got) = b.app.recv_unlocked(&b.rx).expect("recv") {
-            break got;
-        }
-    };
-    b.app.send_unlocked(&b.tx, got.token, to_a).expect("send");
-    let back = loop {
-        a.engine.iterate();
-        b.engine.iterate();
-        if let Some(back) = a.app.recv_unlocked(&a.rx).expect("recv") {
-            break back;
-        }
-    };
-    a.app.buffer_free(back.token);
-    for n in [a, b] {
-        while let Some(tok) = n.app.reclaim_send_unlocked(&n.tx).expect("reclaim") {
-            n.app.buffer_free(tok);
-        }
-    }
-}
-
 fn udp_vs_loopback(c: &mut Criterion) {
     for msg_size in MSG_SIZES {
         let geo = geometry(msg_size);
         let payload = geo.payload_size();
 
-        let (mut a, mut b) = udp_pair(geo);
+        let (mut a, mut b) = udp_nodes(geo, NetConfig::default());
         c.bench_function(&format!("net_udp/{payload}B_round_trip"), |bench| {
-            bench.iter(|| roundtrip(&mut a, &mut b))
+            bench.iter(|| round(&mut a, &mut b))
         });
 
         let mut cl = InlineCluster::new(2, geo, EngineConfig::default()).expect("cluster");

@@ -29,26 +29,22 @@
 //! an informational markdown delta table (for `$GITHUB_STEP_SUMMARY`) and
 //! always exits zero — the gate is `--compare`, never the trend.
 
-use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use flipc_bench::report::{
     compare, fit_slope, parse_tolerance, percentile, Direction, Metric, Report,
 };
+use flipc_bench::udp;
 use flipc_core::api::{Flipc, LocalEndpoint};
-use flipc_core::commbuf::CommBuffer;
 use flipc_core::endpoint::{EndpointAddress, EndpointIndex, EndpointType, FlipcNodeId, Importance};
 use flipc_core::layout::Geometry;
-use flipc_core::wait::WaitRegistry;
-use flipc_engine::engine::{Engine, EngineConfig};
+use flipc_engine::engine::EngineConfig;
 use flipc_engine::node::InlineCluster;
 use flipc_engine::transport::Transport;
 use flipc_engine::wire::Frame;
 use flipc_net::{
-    udp_transport, FaultConfig, FaultInjector, ManualClock, MemHub, MemLink, NetConfig,
-    NetTransport, NodeAddr, NodeMap,
+    FaultConfig, FaultInjector, ManualClock, MemHub, MemLink, NetConfig, NetTransport,
 };
 use flipc_obs::merge::{merge, NodeInput};
 use flipc_obs::{trace_ring, TraceEvent};
@@ -829,92 +825,23 @@ fn batched_throughput(quick: bool) -> f64 {
     }
 }
 
-/// One engine-driven node pair joined by real 127.0.0.1 UDP sockets, same
-/// bootstrap as the `flipc-net` ping demo; returns ping-pong RTTs (ns).
-fn udp_pingpong(warmup: usize, iters: usize) -> Vec<u64> {
-    struct Node {
-        app: Flipc,
-        engine: Engine,
-        tx: LocalEndpoint,
-        rx: LocalEndpoint,
-    }
-
-    let geo = Geometry {
+/// The geometry of both nodes of the loopback-UDP pair.
+fn udp_geometry() -> Geometry {
+    Geometry {
         ring_capacity: 32,
         buffers: 128,
         ..Geometry::small()
-    };
-    let mut map0 = NodeMap::new();
-    map0.insert(
-        FlipcNodeId(0),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    )
-    .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-    let t0 = udp_transport(&map0, FlipcNodeId(0), NetConfig::default()).expect("bind node 0");
-    let addr0 = t0.link().local_addr().expect("local addr");
-    let mut map1 = NodeMap::new();
-    map1.insert(FlipcNodeId(0), NodeAddr::Static(addr0)).insert(
-        FlipcNodeId(1),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    );
-    let t1 = udp_transport(&map1, FlipcNodeId(1), NetConfig::default()).expect("bind node 1");
-
-    let mut nodes = Vec::new();
-    for (i, t) in [Box::new(t0), Box::new(t1)].into_iter().enumerate() {
-        let cb = Arc::new(CommBuffer::new(geo).expect("geometry"));
-        let registry = WaitRegistry::new();
-        let app = Flipc::attach(cb.clone(), FlipcNodeId(i as u16), registry.clone());
-        let engine = Engine::new(cb, t, registry, EngineConfig::default());
-        let tx = alloc(&app, EndpointType::Send);
-        let rx = alloc(&app, EndpointType::Receive);
-        nodes.push(Node {
-            app,
-            engine,
-            tx,
-            rx,
-        });
     }
-    // The pinger must be node 1: it holds a static route to node 0, while
-    // node 0 only learns node 1's ephemeral port from the first arriving
-    // ping (same bootstrap as the flipc-net demo).
-    let mut a = nodes.pop().expect("node 1");
-    let mut b = nodes.pop().expect("node 0");
-    let to_b = b.app.address(&b.rx);
-    let to_a = a.app.address(&a.rx);
+}
 
+/// Ping-pong RTTs (ns, sorted) over the loopback-UDP node pair
+/// ([`udp::udp_nodes`]).
+fn udp_pingpong(warmup: usize, iters: usize) -> Vec<u64> {
+    let (mut a, mut b) = udp::udp_nodes(udp_geometry(), NetConfig::default());
     let mut rtts = Vec::with_capacity(iters);
     for i in 0..warmup + iters {
         let start = Instant::now();
-        for n in [&b, &a] {
-            let buf = n.app.buffer_allocate().expect("buffer");
-            n.app
-                .provide_receive_buffer(&n.rx, buf)
-                .map_err(|r| r.error)
-                .expect("provide");
-        }
-        let ping = a.app.buffer_allocate().expect("buffer");
-        a.app.send_unlocked(&a.tx, ping, to_b).expect("send");
-        let got = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(got) = b.app.recv_unlocked(&b.rx).expect("recv") {
-                break got;
-            }
-        };
-        b.app.send_unlocked(&b.tx, got.token, to_a).expect("send");
-        let back = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(back) = a.app.recv_unlocked(&a.rx).expect("recv") {
-                break back;
-            }
-        };
-        a.app.buffer_free(back.token);
-        for n in [&a, &b] {
-            while let Some(tok) = n.app.reclaim_send_unlocked(&n.tx).expect("reclaim") {
-                n.app.buffer_free(tok);
-            }
-        }
+        udp::round(&mut a, &mut b);
         if i >= warmup {
             rtts.push(start.elapsed().as_nanos() as u64);
         }
@@ -931,62 +858,22 @@ fn udp_pingpong(warmup: usize, iters: usize) -> Vec<u64> {
 /// clock and reconstructs the cross-node send→deliver chains. Returns
 /// `(p50, p99)` of the merged chain latencies in ns.
 fn cross_node_chain_latency(warmup: usize, iters: usize) -> (f64, f64) {
-    struct Node {
-        app: Flipc,
-        engine: Engine,
-        tx: LocalEndpoint,
-        rx: LocalEndpoint,
-    }
-
-    let geo = Geometry {
-        ring_capacity: 32,
-        buffers: 128,
-        ..Geometry::small()
-    };
     // Fast heartbeats (2 ms in the transport's µs ticks) so the clock
     // exchange collects samples inside a bench-sized run.
-    let net = NetConfig {
-        heartbeat_interval: 2_000,
-        ..NetConfig::default()
-    };
-    let mut map0 = NodeMap::new();
-    map0.insert(
-        FlipcNodeId(0),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-    )
-    .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-    let t0 = udp_transport(&map0, FlipcNodeId(0), net).expect("bind node 0");
-    let addr0 = t0.link().local_addr().expect("local addr");
-    let mut map1 = NodeMap::new();
-    map1.insert(FlipcNodeId(0), NodeAddr::Static(addr0)).insert(
-        FlipcNodeId(1),
-        NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
+    let (mut a, mut b) = udp::udp_nodes(
+        udp_geometry(),
+        NetConfig {
+            heartbeat_interval: 2_000,
+            ..NetConfig::default()
+        },
     );
-    let t1 = udp_transport(&map1, FlipcNodeId(1), net).expect("bind node 1");
-
-    let mut nodes = Vec::new();
+    // Reader 0 is node 0's ring (the ponger), reader 1 node 1's.
     let mut readers = Vec::new();
-    for (i, t) in [Box::new(t0), Box::new(t1)].into_iter().enumerate() {
-        let cb = Arc::new(CommBuffer::new(geo).expect("geometry"));
-        let registry = WaitRegistry::new();
-        let app = Flipc::attach(cb.clone(), FlipcNodeId(i as u16), registry.clone());
-        let mut engine = Engine::new(cb, t, registry, EngineConfig::default());
+    for n in [&mut b, &mut a] {
         let (tw, tr) = trace_ring(4096);
-        engine.set_trace(tw);
+        n.engine.set_trace(tw);
         readers.push(tr);
-        let tx = alloc(&app, EndpointType::Send);
-        let rx = alloc(&app, EndpointType::Receive);
-        nodes.push(Node {
-            app,
-            engine,
-            tx,
-            rx,
-        });
     }
-    let mut a = nodes.pop().expect("node 1");
-    let mut b = nodes.pop().expect("node 0");
-    let to_b = b.app.address(&b.rx);
-    let to_a = a.app.address(&a.rx);
 
     let mut events: [Vec<TraceEvent>; 2] = [Vec::new(), Vec::new()];
     let mut lost = [0u64; 2];
@@ -1000,36 +887,7 @@ fn cross_node_chain_latency(warmup: usize, iters: usize) -> (f64, f64) {
     };
 
     for i in 0..warmup + iters {
-        for n in [&b, &a] {
-            let buf = n.app.buffer_allocate().expect("buffer");
-            n.app
-                .provide_receive_buffer(&n.rx, buf)
-                .map_err(|r| r.error)
-                .expect("provide");
-        }
-        let ping = a.app.buffer_allocate().expect("buffer");
-        a.app.send_unlocked(&a.tx, ping, to_b).expect("send");
-        let got = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(got) = b.app.recv_unlocked(&b.rx).expect("recv") {
-                break got;
-            }
-        };
-        b.app.send_unlocked(&b.tx, got.token, to_a).expect("send");
-        let back = loop {
-            a.engine.iterate();
-            b.engine.iterate();
-            if let Some(back) = a.app.recv_unlocked(&a.rx).expect("recv") {
-                break back;
-            }
-        };
-        a.app.buffer_free(back.token);
-        for n in [&a, &b] {
-            while let Some(tok) = n.app.reclaim_send_unlocked(&n.tx).expect("reclaim") {
-                n.app.buffer_free(tok);
-            }
-        }
+        udp::round(&mut a, &mut b);
         if i < warmup {
             // Events from the warmup window would skew the merged p99.
             drain(&mut readers, &mut events, &mut lost);

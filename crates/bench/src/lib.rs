@@ -8,6 +8,7 @@
 use std::fmt::Write as _;
 
 pub mod report;
+pub mod udp;
 
 /// Prints a titled, column-aligned table to stdout.
 ///

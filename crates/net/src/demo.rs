@@ -10,7 +10,9 @@
 //!
 //! This module is shared by `examples/net_pingpong.rs`, the crate's
 //! `net_pingpong` bin (which the two-process smoke test spawns), and any
-//! future multi-node demos.
+//! future multi-node demos. [`loopback_udp_pair`] is the same bootstrap
+//! inside one process, the node-pair fixture of `bench-report`, the
+//! `net_pingpong` criterion bench and `flipc-top --udp`.
 
 use std::io::Write as _;
 use std::net::SocketAddr;
@@ -37,6 +39,28 @@ pub const CLIENT_NODE: FlipcNodeId = FlipcNodeId(1);
 
 /// How long either role waits for one message before giving up.
 const RECV_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Binds a node pair on `127.0.0.1` ephemeral ports inside one process
+/// and returns its transports as `(node 0, node 1)`.
+///
+/// Node 0 knows node 1 only as [`NodeAddr::Dynamic`]; node 1 routes
+/// statically to node 0's bound port. Node 0 learns node 1's port from
+/// the first datagram it receives, so node 1 must speak first — the
+/// same bootstrap as [`run_server`] and [`run_client`].
+pub fn loopback_udp_pair(
+    net: NetConfig,
+) -> std::io::Result<(NetTransport<UdpLink>, NetTransport<UdpLink>)> {
+    let ephemeral = NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0)));
+    let mut map0 = NodeMap::new();
+    map0.insert(SERVER_NODE, ephemeral)
+        .insert(CLIENT_NODE, NodeAddr::Dynamic);
+    let t0 = udp_transport(&map0, SERVER_NODE, net)?;
+    let mut map1 = NodeMap::new();
+    map1.insert(SERVER_NODE, NodeAddr::Static(t0.link().local_addr()?))
+        .insert(CLIENT_NODE, ephemeral);
+    let t1 = udp_transport(&map1, CLIENT_NODE, net)?;
+    Ok((t0, t1))
+}
 
 fn build_node(
     transport: NetTransport<UdpLink>,
@@ -264,5 +288,46 @@ pub fn run_cli(args: impl Iterator<Item = String>) -> std::io::Result<()> {
         Err(std::io::Error::other(
             "usage: net_pingpong --server [--port P] | --client --server-addr A --inbox X",
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::Link;
+    use flipc_core::endpoint::EndpointIndex;
+    use flipc_engine::transport::Transport;
+    use flipc_engine::wire::Frame;
+
+    fn pump(t: &mut NetTransport<UdpLink>) -> Frame {
+        let deadline = Instant::now() + RECV_TIMEOUT;
+        loop {
+            if let Some(f) = t.try_recv() {
+                return f;
+            }
+            assert!(Instant::now() < deadline, "frame never arrived");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
+    #[test]
+    fn loopback_udp_pair_is_reachable_once_node_1_speaks() {
+        let (mut t0, mut t1) = loopback_udp_pair(NetConfig::default()).expect("bind");
+        assert!(
+            !t0.link_mut().send(CLIENT_NODE, b"x"),
+            "node 0 has no route to node 1 before its first datagram"
+        );
+        let frame = |src: FlipcNodeId, dst: FlipcNodeId, tag: u8| Frame {
+            src: EndpointAddress::new(src, EndpointIndex(0), 1),
+            dst: EndpointAddress::new(dst, EndpointIndex(0), 1),
+            payload: vec![tag; 16].into(),
+            stamp_ns: 0,
+        };
+        assert!(t1.try_send(SERVER_NODE, &frame(CLIENT_NODE, SERVER_NODE, 1)));
+        t1.flush();
+        assert_eq!(pump(&mut t0).payload[0], 1);
+        assert!(t0.try_send(CLIENT_NODE, &frame(SERVER_NODE, CLIENT_NODE, 2)));
+        t0.flush();
+        assert_eq!(pump(&mut t1).payload[0], 2);
     }
 }

@@ -35,7 +35,9 @@
 //!   retransmitted, dropped, out-of-window) on the same wait-free
 //!   discipline as the endpoint drop counters, exposed through
 //!   [`flipc_core::inspect`];
-//! * [`demo`] — the two-process `--server`/`--client` ping-pong.
+//! * [`demo`] — the two-process `--server`/`--client` ping-pong, and
+//!   the same node pair bound inside one process
+//!   ([`demo::loopback_udp_pair`]).
 //!
 //! Build one with [`udp_transport`] and hand it to an engine:
 //!
@@ -56,8 +58,6 @@ pub mod clock;
 pub mod demo;
 pub mod fault;
 pub mod link;
-#[cfg(all(feature = "mmsg", target_os = "linux"))]
-mod mmsg;
 pub mod packet;
 pub mod peers;
 pub mod reliability;

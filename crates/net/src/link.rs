@@ -49,9 +49,7 @@ pub trait Link: Send {
     /// Fires a burst of datagrams toward `dst`, returning how many the
     /// wire accepted. The default loops [`Link::send`] and stops at the
     /// first refusal, so a fault injector wrapping the link still sees
-    /// (and can fault) each datagram individually; vectored links
-    /// ([`crate::udp::UdpLink`] under the `mmsg` feature) override this
-    /// to move the whole burst in one syscall.
+    /// (and can fault) each datagram individually.
     fn send_batch(&mut self, dst: FlipcNodeId, datagrams: &[&[u8]]) -> usize {
         let mut accepted = 0;
         for d in datagrams {
@@ -129,6 +127,7 @@ impl Link for MemLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, FaultInjector};
 
     #[test]
     fn hub_routes_between_nodes_fifo() {
@@ -158,5 +157,26 @@ mod tests {
         let hub = MemHub::new(1, 4);
         let mut a = hub.link(FlipcNodeId(0));
         assert!(!a.send(FlipcNodeId(7), b"x"));
+    }
+
+    #[test]
+    fn send_batch_stops_at_the_first_refusal() {
+        let burst: [&[u8]; 4] = [b"one", b"two", b"three", b"four"];
+        let hub = MemHub::new(2, 2);
+        let mut a = hub.link(FlipcNodeId(0));
+        let mut b = hub.link(FlipcNodeId(1));
+        assert_eq!(a.send_batch(FlipcNodeId(1), &burst), 2);
+        let mut buf = [0u8; 16];
+        for want in &burst[..2] {
+            let n = b.recv(&mut buf).expect("accepted datagram arrives");
+            assert_eq!(&buf[..n], *want);
+        }
+        assert_eq!(b.recv(&mut buf), None, "nothing past the refusal");
+
+        // A wrapping fault injector sees every datagram of the burst.
+        let hub = MemHub::new(2, 2);
+        let mut lossy = FaultInjector::new(hub.link(FlipcNodeId(0)), FaultConfig::lossy(1.0), 1);
+        assert_eq!(lossy.send_batch(FlipcNodeId(1), &burst), 4);
+        assert_eq!(lossy.fault_counts().dropped, 4);
     }
 }

@@ -625,9 +625,8 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
             let burst = ring.len() as u32;
             if burst > 0 {
                 // Go-back-N re-sends the whole ring; hand it to the link
-                // as one burst so a vectored backend (`mmsg`) pays one
-                // syscall instead of one per frame. Refused tail frames
-                // stay in the ring and the next round recovers them.
+                // as one burst. Refused tail frames stay in the ring and
+                // the next round recovers them.
                 let datagrams: Vec<&[u8]> = ring.iter().map(|f| f.bytes.as_slice()).collect();
                 self.link.send_batch(dst, &datagrams);
                 for _ in 0..burst {

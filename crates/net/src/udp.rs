@@ -7,14 +7,7 @@
 //! `recvfrom`, both non-blocking) and never for synchronization, keeping
 //! the engine's event loop unblocked, in the spirit of the paper's
 //! kernel-off-the-path design.
-//!
-//! With the `mmsg` feature on Linux even the once-per-datagram cost
-//! amortizes: bursts go out through `sendmmsg` and arrive through
-//! `recvmmsg` (the private `mmsg` module), so a retransmit burst or a
-//! batched drain pass costs one syscall, not one per datagram. Every
-//! other configuration compiles to exactly the portable path below.
 
-#[cfg(not(all(feature = "mmsg", target_os = "linux")))]
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
@@ -33,10 +26,6 @@ pub struct UdpLink {
     /// Source address of the most recently received datagram, pending a
     /// possible [`Link::associate`].
     last_from: Option<SocketAddr>,
-    /// Vectored-receive staging: one `recvmmsg` syscall fills the ring,
-    /// `recv` pops it one datagram at a time.
-    #[cfg(all(feature = "mmsg", target_os = "linux"))]
-    rx: crate::mmsg::RecvRing,
 }
 
 impl UdpLink {
@@ -65,8 +54,6 @@ impl UdpLink {
             socket,
             addrs,
             last_from: None,
-            #[cfg(all(feature = "mmsg", target_os = "linux"))]
-            rx: crate::mmsg::RecvRing::new(),
         })
     }
 
@@ -91,13 +78,6 @@ impl Link for UdpLink {
     }
 
     fn recv(&mut self, buf: &mut [u8]) -> Option<usize> {
-        #[cfg(all(feature = "mmsg", target_os = "linux"))]
-        {
-            let (n, from) = self.rx.recv(&self.socket, buf)?;
-            self.last_from = Some(from);
-            Some(n)
-        }
-        #[cfg(not(all(feature = "mmsg", target_os = "linux")))]
         match self.socket.recv_from(buf) {
             Ok((n, from)) => {
                 self.last_from = Some(from);
@@ -108,14 +88,6 @@ impl Link for UdpLink {
             // some platforms); the retransmit machinery absorbs the gap.
             Err(_) => None,
         }
-    }
-
-    #[cfg(all(feature = "mmsg", target_os = "linux"))]
-    fn send_batch(&mut self, dst: FlipcNodeId, datagrams: &[&[u8]]) -> usize {
-        let Some(Some(addr)) = self.addrs.get(dst.0 as usize) else {
-            return 0; // no address (yet) for this peer
-        };
-        crate::mmsg::send_batch(&self.socket, *addr, datagrams)
     }
 
     fn associate(&mut self, node: FlipcNodeId) {
@@ -135,18 +107,18 @@ mod tests {
     use super::*;
     use crate::peers::NodeMap;
 
-    #[test]
-    fn datagrams_cross_localhost() {
-        // Race-free construction: bind two ephemeral sockets and teach
-        // each link the other's real address (one statically, one learned
-        // from a first packet + associate — the client-server pattern).
+    /// Race-free construction of two links on ephemeral sockets: `b`
+    /// (node 1) routes to `a`'s real address statically, while `a`
+    /// (node 0) knows node 1 only as `Dynamic` and must learn it from a
+    /// first packet + associate — the client-server pattern.
+    fn linked_pair() -> (UdpLink, UdpLink) {
         let mut boot = NodeMap::new();
         boot.insert(
             FlipcNodeId(0),
             NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
         )
         .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let mut a = UdpLink::bind(&boot, FlipcNodeId(0)).unwrap();
+        let a = UdpLink::bind(&boot, FlipcNodeId(0)).unwrap();
         let mut boot_b = NodeMap::new();
         boot_b
             .insert(
@@ -154,7 +126,23 @@ mod tests {
                 NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
             )
             .insert(FlipcNodeId(0), NodeAddr::Static(a.local_addr().unwrap()));
-        let mut b = UdpLink::bind(&boot_b, FlipcNodeId(1)).unwrap();
+        let b = UdpLink::bind(&boot_b, FlipcNodeId(1)).unwrap();
+        (a, b)
+    }
+
+    fn recv_with_patience(link: &mut UdpLink, buf: &mut [u8]) -> Option<usize> {
+        for _ in 0..1000 {
+            if let Some(n) = link.recv(buf) {
+                return Some(n);
+            }
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        None
+    }
+
+    #[test]
+    fn datagrams_cross_localhost() {
+        let (mut a, mut b) = linked_pair();
 
         // b -> a: a learns b's address from the packet source.
         assert!(b.send(FlipcNodeId(0), b"ping"));
@@ -169,25 +157,9 @@ mod tests {
         assert_eq!(&buf[..n], b"pong");
     }
 
-    fn recv_with_patience(link: &mut UdpLink, buf: &mut [u8]) -> Option<usize> {
-        for _ in 0..1000 {
-            if let Some(n) = link.recv(buf) {
-                return Some(n);
-            }
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
-        None
-    }
-
     #[test]
     fn send_without_address_is_refused() {
-        let mut boot = NodeMap::new();
-        boot.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let mut a = UdpLink::bind(&boot, FlipcNodeId(0)).unwrap();
+        let (mut a, _b) = linked_pair();
         assert!(
             !a.send(FlipcNodeId(1), b"x"),
             "dynamic peer not yet learned"
@@ -195,24 +167,9 @@ mod tests {
         assert!(!a.send(FlipcNodeId(9), b"x"), "unknown node");
     }
 
-    #[cfg(all(feature = "mmsg", target_os = "linux"))]
     #[test]
-    fn vectored_send_batch_crosses_localhost() {
-        let mut boot = NodeMap::new();
-        boot.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let mut a = UdpLink::bind(&boot, FlipcNodeId(0)).unwrap();
-        let mut boot_b = NodeMap::new();
-        boot_b
-            .insert(
-                FlipcNodeId(1),
-                NodeAddr::Static("127.0.0.1:0".parse().unwrap()),
-            )
-            .insert(FlipcNodeId(0), NodeAddr::Static(a.local_addr().unwrap()));
-        let mut b = UdpLink::bind(&boot_b, FlipcNodeId(1)).unwrap();
+    fn send_batch_crosses_localhost() {
+        let (mut a, mut b) = linked_pair();
 
         let datagrams: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 32]).collect();
         let refs: Vec<&[u8]> = datagrams.iter().map(|d| d.as_slice()).collect();
@@ -225,24 +182,16 @@ mod tests {
 
         let mut buf = [0u8; 64];
         let mut got = Vec::new();
-        for _ in 0..2_000 {
-            if let Some(n) = a.recv(&mut buf) {
-                got.push(buf[..n].to_vec());
-                if got.len() == 24 {
-                    break;
-                }
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
+        while got.len() < datagrams.len() {
+            let n = recv_with_patience(&mut a, &mut buf).expect("burst datagram arrives");
+            got.push(buf[..n].to_vec());
         }
         got.sort();
-        let mut want = datagrams.clone();
-        want.sort();
-        assert_eq!(got, want, "the whole burst crossed the wire");
+        assert_eq!(got, datagrams, "the whole burst crossed the wire");
         a.associate(FlipcNodeId(1));
         assert!(
             a.send(FlipcNodeId(1), b"ack"),
-            "associate learned from mmsg recv"
+            "associate learned the burst's source address"
         );
     }
 

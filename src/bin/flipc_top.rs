@@ -56,6 +56,7 @@ use flipc_core::layout::Geometry;
 use flipc_core::wait::WaitRegistry;
 use flipc_engine::engine::{Engine, EngineConfig};
 use flipc_engine::loopback::fabric;
+use flipc_net::demo::loopback_udp_pair;
 use flipc_net::{udp_transport, NetConfig, NodeAddr, NodeMap};
 use flipc_obs::json::Value;
 use flipc_obs::merge::{events_from_json, merge, MergedTimeline, NodeInput};
@@ -264,23 +265,7 @@ fn build_nodes(udp: bool) -> Vec<DemoNode> {
         )
     };
     if udp {
-        // Same bootstrap as the flipc-net demo: node 0 binds an ephemeral
-        // port, node 1 routes to it statically; node 0 learns node 1's
-        // port from the first arriving datagram.
-        let mut map0 = NodeMap::new();
-        map0.insert(
-            FlipcNodeId(0),
-            NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-        )
-        .insert(FlipcNodeId(1), NodeAddr::Dynamic);
-        let t0 = udp_transport(&map0, FlipcNodeId(0), NetConfig::default()).expect("bind node 0");
-        let addr0 = t0.link().local_addr().expect("local addr");
-        let mut map1 = NodeMap::new();
-        map1.insert(FlipcNodeId(0), NodeAddr::Static(addr0)).insert(
-            FlipcNodeId(1),
-            NodeAddr::Static(SocketAddr::from(([127, 0, 0, 1], 0))),
-        );
-        let t1 = udp_transport(&map1, FlipcNodeId(1), NetConfig::default()).expect("bind node 1");
+        let (t0, t1) = loopback_udp_pair(NetConfig::default()).expect("bind loopback UDP pair");
         vec![mk(0, Box::new(t0)), mk(1, Box::new(t1))]
     } else {
         let mut ports = fabric(2, 256);
