@@ -5,7 +5,12 @@
 //! read-and-reset counter, the TAS lock, the SPSC wire ring, and the
 //! buffer pool — all measured single-threaded (the pure instruction cost
 //! of each wait-free operation; the coherence costs are what the simulated
-//! Paragon model charges for).
+//! Paragon model charges for). One pair adds a second writer thread: a
+//! write to a line another thread keeps writing vs a write to a padded,
+//! private line — the paper's layout lesson on modern hardware.
+//!
+//! The end-to-end message path is timed by the wall-clock benchmark in
+//! `perfbench/` (`pingpong_loopback`), not here.
 
 #![allow(missing_docs)] // criterion macros generate undocumented entry points
 
@@ -127,6 +132,50 @@ fn api_send_path(c: &mut Criterion) {
     });
 }
 
+fn false_sharing_microbench(c: &mut Criterion) {
+    // The paper's layout lesson on modern hardware: two threads writing
+    // adjacent words (one line) vs padded words (separate lines). On a
+    // single-core host the contrast is muted — reported for completeness.
+    use flipc_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    #[repr(align(64))]
+    struct Padded(AtomicU64);
+
+    struct Shared {
+        a: AtomicU64,
+        b: AtomicU64,
+        pa: Padded,
+        pb: Padded,
+        stop: AtomicBool,
+    }
+    let sh = Arc::new(Shared {
+        a: AtomicU64::new(0),
+        b: AtomicU64::new(0),
+        pa: Padded(AtomicU64::new(0)),
+        pb: Padded(AtomicU64::new(0)),
+        stop: AtomicBool::new(false),
+    });
+
+    let sh2 = sh.clone();
+    let writer = std::thread::spawn(move || {
+        while !sh2.stop.load(Ordering::Acquire) {
+            sh2.b.fetch_add(1, Ordering::Relaxed);
+            sh2.pb.0.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+
+    c.bench_function("layout/false_shared_write", |bench| {
+        bench.iter(|| sh.a.fetch_add(black_box(1), Ordering::Relaxed))
+    });
+    c.bench_function("layout/padded_write", |bench| {
+        bench.iter(|| sh.pa.0.fetch_add(black_box(1), Ordering::Relaxed))
+    });
+
+    sh.stop.store(true, Ordering::Release);
+    writer.join().expect("writer");
+}
+
 fn configure() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -137,6 +186,7 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = queue_ops, counter_ops, lock_ops, spsc_ops, buffer_pool, api_send_path
+    targets = queue_ops, counter_ops, lock_ops, spsc_ops, buffer_pool, api_send_path,
+        false_sharing_microbench
 }
 criterion_main!(benches);

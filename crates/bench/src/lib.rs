@@ -3,12 +3,15 @@
 //! Every table and figure in the paper has a bench target in this crate's
 //! `benches/` directory (`cargo bench -p flipc-bench --bench <name>`), each
 //! printing the regenerated rows next to the paper's reported values. The
-//! formatting helpers here keep those reports uniform.
+//! formatting helpers here keep those reports uniform. [`report`] is the
+//! `BENCH.json` schema of the `bench-report` binary, the deterministic
+//! simulation suite that the crate's `baseline` test holds to exact
+//! equality with `baselines/BENCH_baseline.json`. Wall-clock measurement
+//! of the message path lives in `perfbench/`.
 
 use std::fmt::Write as _;
 
 pub mod report;
-pub mod udp;
 
 /// Prints a titled, column-aligned table to stdout.
 ///

@@ -1,12 +1,12 @@
-//! Machine-readable performance reports (`BENCH.json`) and the pure-Rust
-//! regression comparator behind `bench-report --compare`.
+//! Machine-readable reports (`BENCH.json`) of the deterministic
+//! simulation suite that the `bench-report` binary runs.
 //!
-//! A [`Report`] is a flat list of named [`Metric`]s plus provenance
-//! (schema version, git revision, quick/full mode). It serializes through
-//! [`flipc_obs::json`] — no external dependencies — so CI can archive the
-//! file as an artifact and diff runs across commits. The comparator
-//! ([`compare`]) is direction-aware: a latency metric regresses when it
-//! grows, a delivery-ratio metric regresses when it shrinks.
+//! A [`Report`] is a schema version plus a flat list of named
+//! [`Metric`]s. It serializes through [`flipc_obs::json`] — no external
+//! dependencies. Every metric comes from seeded schedules on a manual
+//! clock, so two runs of one build write equal reports; the crate's
+//! `baseline` test holds the committed `baselines/BENCH_baseline.json` to
+//! exact equality with a fresh run.
 //!
 //! Everything in this module is pure data and arithmetic; the measurement
 //! loops live in the `bench-report` binary so they can be rerun or
@@ -14,10 +14,10 @@
 
 use flipc_obs::json::Value;
 
-/// Version stamp written into every `BENCH.json`. Bump when the metric
-/// list or field meanings change incompatibly; the comparator refuses to
-/// diff across schema versions.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Version stamp written into every `BENCH.json`. Bump when the field
+/// meanings change incompatibly; the baseline test refuses to compare
+/// across schema versions.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Which way "better" points for a metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,12 +50,13 @@ impl Direction {
 /// One measured quantity.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
-    /// Stable identifier (`oneway_p50_ns_56B`, `udp_rtt_p50_ns`, ...).
-    /// The comparator matches metrics across runs by this name.
+    /// Stable identifier (`loss10_delivery_ratio`,
+    /// `log_append_replay_p99_us`, ...). The baseline test matches
+    /// metrics across reports by this name.
     pub name: String,
-    /// Unit string for humans (`ns`, `ns/B`, `ratio`, `frames`).
+    /// Unit string for humans (`us`, `msg/sim-s`, `ratio`, `frames`).
     pub unit: String,
-    /// The headline value the comparator diffs.
+    /// The headline value.
     pub value: f64,
     /// Median of the underlying samples, when the metric has a
     /// distribution behind it.
@@ -64,40 +65,24 @@ pub struct Metric {
     pub p99: Option<f64>,
     /// Which way "better" points.
     pub direction: Direction,
-    /// Whether the comparator gates on this metric. Derived or intrinsically
-    /// noisy quantities (e.g. the fitted ns/byte slope, whose signal is
-    /// small against the flat per-message cost) are reported for humans but
-    /// excluded from the CI pass/fail decision.
-    pub gate: bool,
 }
 
-/// A complete performance report: provenance plus metrics.
+/// A complete report: schema version plus metrics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
     /// Schema version ([`SCHEMA_VERSION`] when produced by this build).
     pub schema: u64,
-    /// Git revision the suite ran against (or `"unknown"`).
-    pub git_rev: String,
-    /// True when produced by `--quick` (fewer iterations; CI smoke mode).
-    pub quick: bool,
     /// The measurements, in suite order.
     pub metrics: Vec<Metric>,
 }
 
 impl Report {
-    /// An empty report stamped with this build's schema version.
-    pub fn new(git_rev: impl Into<String>, quick: bool) -> Report {
+    /// A report of `metrics` stamped with this build's schema version.
+    pub fn new(metrics: Vec<Metric>) -> Report {
         Report {
             schema: SCHEMA_VERSION,
-            git_rev: git_rev.into(),
-            quick,
-            metrics: Vec::new(),
+            metrics,
         }
-    }
-
-    /// Appends a metric.
-    pub fn push(&mut self, metric: Metric) {
-        self.metrics.push(metric);
     }
 
     /// Looks a metric up by name.
@@ -109,8 +94,6 @@ impl Report {
     pub fn to_json(&self) -> Value {
         Value::object(vec![
             ("schema", Value::from(self.schema)),
-            ("git_rev", Value::from(self.git_rev.as_str())),
-            ("quick", Value::Bool(self.quick)),
             (
                 "metrics",
                 Value::Array(
@@ -129,9 +112,6 @@ impl Report {
                                 fields.push(("p99", Value::from(p99)));
                             }
                             fields.push(("direction", Value::from(m.direction.as_str())));
-                            if !m.gate {
-                                fields.push(("gate", Value::Bool(false)));
-                            }
                             Value::object(fields)
                         })
                         .collect(),
@@ -157,12 +137,6 @@ impl Report {
             .get("schema")
             .and_then(Value::as_f64)
             .ok_or("missing schema")? as u64;
-        let git_rev = v
-            .get("git_rev")
-            .and_then(Value::as_str)
-            .ok_or("missing git_rev")?
-            .to_string();
-        let quick = matches!(v.get("quick"), Some(Value::Bool(true)));
         let metrics = v
             .get("metrics")
             .and_then(Value::as_array)
@@ -195,181 +169,11 @@ impl Report {
                     p50: m.get("p50").and_then(Value::as_f64),
                     p99: m.get("p99").and_then(Value::as_f64),
                     direction,
-                    gate: !matches!(m.get("gate"), Some(Value::Bool(false))),
                 })
             })
             .collect::<Result<Vec<Metric>, String>>()?;
-        Ok(Report {
-            schema,
-            git_rev,
-            quick,
-            metrics,
-        })
+        Ok(Report { schema, metrics })
     }
-}
-
-/// One metric that moved past the tolerance between two runs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// The metric that regressed.
-    pub name: String,
-    /// Baseline value.
-    pub old: f64,
-    /// Current value.
-    pub new: f64,
-    /// Worsening factor (always oriented so >1 means worse; e.g. 3.0 for
-    /// a latency that tripled or a ratio that dropped to a third).
-    pub factor: f64,
-}
-
-/// Diffs `new` against the `old` baseline.
-///
-/// Returns the metrics that got worse by more than `tolerance`
-/// (a factor: `2.0` means "no more than 2x worse"). Metrics present in
-/// only one report are ignored — adding a metric must not fail CI, and a
-/// retired metric must not wedge the baseline. Ungated metrics
-/// (`gate: false` in either report) and non-positive baseline values are
-/// skipped (a zero-latency baseline makes every factor infinite and means
-/// the measurement, not the code, is broken).
-///
-/// # Errors
-///
-/// Fails when the schema versions differ — cross-schema factors are not
-/// meaningful.
-pub fn compare(old: &Report, new: &Report, tolerance: f64) -> Result<Vec<Regression>, String> {
-    if old.schema != new.schema {
-        return Err(format!(
-            "schema mismatch: baseline v{}, current v{} — regenerate the baseline",
-            old.schema, new.schema
-        ));
-    }
-    let mut out = Vec::new();
-    for m_old in &old.metrics {
-        let Some(m_new) = new.get(&m_old.name) else {
-            continue;
-        };
-        if !m_old.gate || !m_new.gate || m_old.value <= 0.0 || m_new.value <= 0.0 {
-            continue;
-        }
-        let factor = match m_old.direction {
-            Direction::LowerIsBetter => m_new.value / m_old.value,
-            Direction::HigherIsBetter => m_old.value / m_new.value,
-        };
-        if factor > tolerance {
-            out.push(Regression {
-                name: m_old.name.clone(),
-                old: m_old.value,
-                new: m_new.value,
-                factor,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Renders a per-metric delta table between two reports as GitHub
-/// markdown — the informational trend CI appends to the step summary.
-///
-/// Every metric present in both reports appears with its baseline value,
-/// current value, delta percentage oriented so negative means *better*,
-/// and a marker (improved / flat / worse / `(ungated)`). Metrics in only
-/// one report are listed as added/retired. Purely informational: callers
-/// must not gate on this output (the gate is [`compare`]).
-pub fn render_trend(old: &Report, new: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("### Bench trend vs committed baseline\n\n");
-    out.push_str(&format!(
-        "Baseline `{}` → current `{}`{}\n\n",
-        old.git_rev,
-        new.git_rev,
-        if new.quick { " (quick mode)" } else { "" }
-    ));
-    out.push_str("| metric | baseline | current | delta | |\n");
-    out.push_str("|---|---:|---:|---:|---|\n");
-    for m_old in &old.metrics {
-        let Some(m_new) = new.get(&m_old.name) else {
-            out.push_str(&format!(
-                "| {} | {} | — | retired | |\n",
-                m_old.name, m_old.value
-            ));
-            continue;
-        };
-        if m_old.value <= 0.0 {
-            out.push_str(&format!(
-                "| {} | {} | {} | n/a | |\n",
-                m_old.name, m_old.value, m_new.value
-            ));
-            continue;
-        }
-        // Oriented delta: negative = better, regardless of direction.
-        let raw = (m_new.value - m_old.value) / m_old.value * 100.0;
-        let delta = match m_old.direction {
-            Direction::LowerIsBetter => raw,
-            Direction::HigherIsBetter => -raw,
-        };
-        let marker = if !m_old.gate || !m_new.gate {
-            "(ungated)"
-        } else if delta <= -5.0 {
-            "improved"
-        } else if delta < 5.0 {
-            "flat"
-        } else {
-            "worse"
-        };
-        out.push_str(&format!(
-            "| {} | {:.1} {} | {:.1} | {:+.1}% | {} |\n",
-            m_old.name, m_old.value, m_old.unit, m_new.value, delta, marker
-        ));
-    }
-    for m_new in &new.metrics {
-        if old.get(&m_new.name).is_none() {
-            out.push_str(&format!(
-                "| {} | — | {:.1} {} | added | |\n",
-                m_new.name, m_new.value, m_new.unit
-            ));
-        }
-    }
-    out.push_str("\nDelta is oriented so negative is better. Informational only — the gate is the tolerance comparison.\n");
-    out
-}
-
-/// Parses a `--tolerance` argument: `"2.0"` or `"2.0x"`.
-///
-/// # Errors
-///
-/// Fails on non-numeric input or factors below 1.0 (a tolerance under 1
-/// would flag improvements as regressions).
-pub fn parse_tolerance(s: &str) -> Result<f64, String> {
-    let t: f64 = s
-        .trim()
-        .trim_end_matches(['x', 'X'])
-        .parse()
-        .map_err(|_| format!("bad tolerance {s:?} (want e.g. 2.0x)"))?;
-    if t < 1.0 {
-        return Err(format!("tolerance {t} < 1.0 would flag improvements"));
-    }
-    Ok(t)
-}
-
-/// Least-squares line fit through `(x, y)` points, returning
-/// `(slope, intercept)`. `None` with fewer than two distinct x values
-/// (the slope is undefined).
-pub fn fit_slope(points: &[(f64, f64)]) -> Option<(f64, f64)> {
-    let n = points.len() as f64;
-    if points.len() < 2 {
-        return None;
-    }
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < f64::EPSILON {
-        return None;
-    }
-    let slope = (n * sxy - sx * sy) / denom;
-    let intercept = (sy - slope * sx) / n;
-    Some((slope, intercept))
 }
 
 /// Exact percentile of an ascending-sorted sample set (nearest-rank).
@@ -386,121 +190,30 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 mod tests {
     use super::*;
 
-    fn metric(name: &str, value: f64, direction: Direction) -> Metric {
-        Metric {
-            name: name.into(),
-            unit: "ns".into(),
-            value,
-            p50: Some(value),
-            p99: Some(value * 2.0),
-            direction,
-            gate: true,
-        }
-    }
-
     #[test]
     fn json_roundtrip_preserves_the_report() {
-        let mut r = Report::new("abc1234", true);
-        r.push(metric("oneway_p50_ns_56B", 812.0, Direction::LowerIsBetter));
-        r.push(metric(
-            "loss10_delivery_ratio",
-            1.0,
-            Direction::HigherIsBetter,
-        ));
+        let r = Report::new(vec![
+            Metric {
+                name: "log_append_replay_p99_us".into(),
+                unit: "us".into(),
+                value: 3992.6,
+                p50: Some(1100.25),
+                p99: Some(3992.6),
+                direction: Direction::LowerIsBetter,
+            },
+            Metric {
+                name: "loss10_delivery_ratio".into(),
+                unit: "ratio".into(),
+                value: 1.0,
+                p50: None,
+                p99: None,
+                direction: Direction::HigherIsBetter,
+            },
+        ]);
         let text = r.render_json();
         let back = Report::parse(&text).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.schema, SCHEMA_VERSION);
-    }
-
-    #[test]
-    fn compare_is_direction_aware() {
-        let mut old = Report::new("base", false);
-        old.push(metric("latency", 100.0, Direction::LowerIsBetter));
-        old.push(metric("ratio", 1.0, Direction::HigherIsBetter));
-
-        // Within tolerance both ways.
-        let mut new = old.clone();
-        new.metrics[0].value = 150.0;
-        new.metrics[1].value = 0.8;
-        assert!(compare(&old, &new, 2.0).unwrap().is_empty());
-
-        // Latency tripled: flagged. Ratio collapsed: flagged.
-        new.metrics[0].value = 300.0;
-        new.metrics[1].value = 0.3;
-        let regs = compare(&old, &new, 2.0).unwrap();
-        assert_eq!(regs.len(), 2);
-        assert_eq!(regs[0].name, "latency");
-        assert!((regs[0].factor - 3.0).abs() < 1e-9);
-        assert!((regs[1].factor - 1.0 / 0.3).abs() < 1e-9);
-
-        // A big improvement is never a regression.
-        new.metrics[0].value = 1.0;
-        new.metrics[1].value = 10.0;
-        assert!(compare(&old, &new, 2.0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn compare_ignores_asymmetric_metrics_but_rejects_schema_skew() {
-        let mut old = Report::new("base", false);
-        old.push(metric("gone", 1.0, Direction::LowerIsBetter));
-        let mut new = Report::new("head", false);
-        new.push(metric("added", 1.0, Direction::LowerIsBetter));
-        assert!(compare(&old, &new, 1.0).unwrap().is_empty());
-
-        new.schema = SCHEMA_VERSION + 1;
-        assert!(compare(&old, &new, 2.0).is_err());
-    }
-
-    #[test]
-    fn trend_table_orients_deltas_and_lists_membership_changes() {
-        let mut old = Report::new("base", false);
-        old.push(metric("latency", 100.0, Direction::LowerIsBetter));
-        old.push(metric("throughput", 1000.0, Direction::HigherIsBetter));
-        old.push(metric("gone", 5.0, Direction::LowerIsBetter));
-        let mut new = Report::new("head", true);
-        new.push(metric("latency", 80.0, Direction::LowerIsBetter));
-        new.push(metric("throughput", 500.0, Direction::HigherIsBetter));
-        new.push(metric("added", 7.0, Direction::LowerIsBetter));
-
-        let t = render_trend(&old, &new);
-        assert!(t.contains("`base` → current `head` (quick mode)"));
-        // Latency dropped 20%: better, oriented negative.
-        assert!(
-            t.contains("| latency | 100.0 ns | 80.0 | -20.0% | improved |"),
-            "{t}"
-        );
-        // Throughput halved: a -50% raw change, oriented positive.
-        assert!(
-            t.contains("| throughput | 1000.0 ns | 500.0 | +50.0% | worse |"),
-            "{t}"
-        );
-        assert!(t.contains("| gone | 5 | — | retired | |"), "{t}");
-        assert!(t.contains("| added | — | 7.0 ns | added | |"), "{t}");
-        // Informational framing survives.
-        assert!(t.contains("Informational only"));
-    }
-
-    #[test]
-    fn tolerance_accepts_factor_suffix() {
-        assert_eq!(parse_tolerance("2.0x").unwrap(), 2.0);
-        assert_eq!(parse_tolerance("1.5").unwrap(), 1.5);
-        assert!(parse_tolerance("fast").is_err());
-        assert!(parse_tolerance("0.5x").is_err());
-    }
-
-    #[test]
-    fn slope_fit_recovers_a_known_line() {
-        // y = 2.5x + 100 exactly.
-        let pts: Vec<(f64, f64)> = [0.0, 64.0, 128.0, 256.0, 512.0]
-            .iter()
-            .map(|&x| (x, 2.5 * x + 100.0))
-            .collect();
-        let (slope, intercept) = fit_slope(&pts).unwrap();
-        assert!((slope - 2.5).abs() < 1e-9);
-        assert!((intercept - 100.0).abs() < 1e-9);
-        assert!(fit_slope(&pts[..1]).is_none());
-        assert!(fit_slope(&[(1.0, 5.0), (1.0, 6.0)]).is_none());
     }
 
     #[test]

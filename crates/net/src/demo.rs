@@ -11,8 +11,8 @@
 //! This module is shared by `examples/net_pingpong.rs`, the crate's
 //! `net_pingpong` bin (which the two-process smoke test spawns), and any
 //! future multi-node demos. [`loopback_udp_pair`] is the same bootstrap
-//! inside one process, the node-pair fixture of `bench-report`, the
-//! `net_pingpong` criterion bench and `flipc-top --udp`.
+//! inside one process, the node-pair fixture of `flipc-top --udp` and of
+//! flipc-obs's cross-node merge test.
 
 use std::io::Write as _;
 use std::net::SocketAddr;

@@ -23,7 +23,7 @@ pub struct WorkloadClass {
     pub class: String,
     /// Send→deliver latency distribution, in the workload's own time
     /// unit (nanoseconds for wall-clock harnesses, manual-clock ticks —
-    /// nominal nanoseconds — for deterministic ones).
+    /// simulated microseconds — for deterministic ones).
     pub latency: HistogramSnapshot,
 }
 
