@@ -7,8 +7,8 @@
 //!   every `Relaxed` ordering must carry an `// ordering:` justification;
 //!   the full workspace ordering census lands in the report summary.
 //! * `hot-path` — functions registered as hot paths must be transitively
-//!   free of allocation, locking, blocking calls, and panics in the
-//!   default production build.
+//!   free of allocation, locking, blocking calls, panics, and atomic
+//!   read-modify-writes in the default production build.
 //! * `single-writer` — inside role-tagged accessor impls, a store to a
 //!   layout field whose `WriteOwner` (cross-checked against the real
 //!   `flipc_core::layout::Layout`) is the *other* role is a violation.
@@ -50,15 +50,27 @@ impl SourceFile {
     }
 }
 
+/// Which crates each crate's code can call: itself plus its transitive
+/// non-dev dependencies, keyed by crate prefix (`crates/<dir>`, or `src`
+/// for the root package). A crate missing from the map is unconstrained.
+#[derive(Debug, Default)]
+pub struct CrateLinks(pub HashMap<String, HashSet<String>>);
+
+impl CrateLinks {
+    fn reaches(&self, from: &str, to: &str) -> bool {
+        self.0.get(from).is_none_or(|linked| linked.contains(to))
+    }
+}
+
 /// Runs every rule family over the scanned files.
-pub fn run_all(files: &[SourceFile], cfg: &Config) -> Report {
+pub fn run_all(files: &[SourceFile], cfg: &Config, links: &CrateLinks) -> Report {
     let mut report = Report {
         files_scanned: files.len(),
         ..Report::default()
     };
     facade_rule(files, cfg, &mut report);
     ordering_rule(files, cfg, &mut report);
-    hot_path_rule(files, cfg, &mut report);
+    hot_path_rule(files, cfg, links, &mut report);
     single_writer_rule(files, cfg, &mut report);
     report.sort();
     report
@@ -296,12 +308,13 @@ fn scan_banned(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Banned> {
             }
             continue;
         }
-        // `.unwrap()` / `.expect()` and allocating methods.
+        // `.unwrap()` / `.expect()`, allocating methods, and atomic RMWs.
         if prev_is_dot && next_is('(') {
             match t.text.as_str() {
                 "unwrap" | "expect" => push(format!(".{}()", t.text), "panics", t.line),
                 "lock" => push(".lock()".to_string(), "locks", t.line),
                 m if ALLOC_METHODS.contains(&m) => push(format!(".{m}()"), "allocates", t.line),
+                m if is_rmw(toks, i) => push(format!(".{m}()"), "rmw", t.line),
                 _ => {}
             }
             continue;
@@ -327,6 +340,34 @@ fn scan_banned(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Banned> {
     out
 }
 
+/// True when the method call named at `i` is an atomic read-modify-write:
+/// `fetch_*`, `compare_exchange[_weak]`, or a `swap` whose arguments name
+/// an `Ordering` (which sets it apart from `slice::swap` and friends). The
+/// paper's engine synchronizes with loads and stores only.
+fn is_rmw(toks: &[Tok], i: usize) -> bool {
+    match toks[i].text.as_str() {
+        m if m.starts_with("fetch_") => true,
+        "compare_exchange" | "compare_exchange_weak" => true,
+        "swap" => {
+            let mut depth = 0i32;
+            for t in &toks[i + 1..] {
+                if t.is_punct('(') {
+                    depth += 1;
+                } else if t.is_punct(')') {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                } else if t.is_ident("Ordering") {
+                    return true;
+                }
+            }
+            false
+        }
+        _ => false,
+    }
+}
+
 /// Rust keywords and flow-control words that look like calls.
 const NOT_CALLS: [&str; 14] = [
     "if", "for", "while", "match", "loop", "return", "fn", "let", "as", "in", "move", "ref",
@@ -335,17 +376,21 @@ const NOT_CALLS: [&str; 14] = [
 
 /// Names too generic to resolve through the index (ubiquitous trait
 /// methods); the direct banned-token scan still covers their call sites.
-const TOO_GENERIC: [&str; 12] = [
+const TOO_GENERIC: [&str; 13] = [
     "new", "default", "clone", "fmt", "from", "into", "get", "iter", "next", "drop",
     // Pointer arithmetic (`ptr.add`/`ptr.sub`) shares its name with every
     // `fn add` in the crate.
     "add", "sub",
+    // `Mutex::lock` shares its name with `TasLock::lock`, the one indexed
+    // `fn lock`; every `.lock()` site is already a `locks` finding.
+    "lock",
 ];
 
 /// Extracts callee names from a body: `name(`, `.name(`, and
 /// `Type::name(` sequences. The qualifier (when it is a capitalized path
 /// segment) lets resolution pick the right `decode` out of a crate full
-/// of them.
+/// of them. Atomic RMW calls are left out: the site itself is the
+/// finding, and the callee is the atomics facade.
 fn calls_in(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<(Option<String>, String)> {
     let mut out = Vec::new();
     for i in body {
@@ -354,6 +399,7 @@ fn calls_in(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<(Option<String>, 
             && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
             && !NOT_CALLS.contains(&t.text.as_str())
             && !(i > 0 && toks[i - 1].is_ident("fn"))
+            && !(i > 0 && toks[i - 1].is_punct('.') && is_rmw(toks, i))
         {
             let qual = (i >= 3
                 && toks[i - 1].is_punct(':')
@@ -386,7 +432,7 @@ fn off_graph(path: &str, cfg: &Config) -> bool {
         || cfg.graph_exclude.iter().any(|e| path.contains(e.as_str()))
 }
 
-fn hot_path_rule(files: &[SourceFile], cfg: &Config, report: &mut Report) {
+fn hot_path_rule(files: &[SourceFile], cfg: &Config, links: &CrateLinks, report: &mut Report) {
     // Index production-build functions by bare name.
     let mut index: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
     let mut indexed = 0usize;
@@ -422,6 +468,7 @@ fn hot_path_rule(files: &[SourceFile], cfg: &Config, report: &mut Report) {
             walk_hot(
                 files,
                 &index,
+                links,
                 root_file,
                 root_fn,
                 cfg.hot_path_max_depth,
@@ -441,6 +488,7 @@ fn hot_path_rule(files: &[SourceFile], cfg: &Config, report: &mut Report) {
 fn walk_hot(
     files: &[SourceFile],
     index: &HashMap<&str, Vec<(usize, usize)>>,
+    links: &CrateLinks,
     file: &SourceFile,
     f: &FnItem,
     depth_left: usize,
@@ -507,8 +555,10 @@ fn walk_hot(
                     .collect()
             } else {
                 // Bare-name policy: same file, else same crate, else across
-                // crates only when unambiguous. Anything looser wires
+                // crates only into a crate this one links, and only when
+                // that leaves one candidate. Anything looser wires
                 // unrelated `load`s and `send`s into the graph.
+                let here = crate_of(&file.path);
                 let same_file: Vec<(usize, usize)> = cands
                     .iter()
                     .filter(|(fi, _)| files[*fi].path == file.path)
@@ -516,15 +566,20 @@ fn walk_hot(
                     .collect();
                 let same_crate: Vec<(usize, usize)> = cands
                     .iter()
-                    .filter(|(fi, _)| crate_of(&files[*fi].path) == crate_of(&file.path))
+                    .filter(|(fi, _)| crate_of(&files[*fi].path) == here)
+                    .copied()
+                    .collect();
+                let linked: Vec<(usize, usize)> = cands
+                    .iter()
+                    .filter(|(fi, _)| links.reaches(here, crate_of(&files[*fi].path)))
                     .copied()
                     .collect();
                 if !same_file.is_empty() {
                     same_file
                 } else if !same_crate.is_empty() {
                     same_crate
-                } else if cands.len() == 1 {
-                    cands.clone()
+                } else if linked.len() == 1 {
+                    linked
                 } else {
                     Vec::new()
                 }
@@ -535,6 +590,7 @@ fn walk_hot(
                 walk_hot(
                     files,
                     index,
+                    links,
                     nf,
                     nfn,
                     depth_left - 1,
@@ -576,13 +632,14 @@ fn owner_map() -> BTreeMap<&'static str, WriteOwner> {
     let lay = Layout::new(Geometry::small()).expect("small geometry is valid");
     let ep0 = lay.endpoint(0);
     let fl = lay.freelist();
-    let entries: [(&str, usize); 21] = [
+    let entries: [(&str, usize); 22] = [
         ("HDR_MAGIC", layout::HDR_MAGIC),
         ("HDR_ENDPOINTS", layout::HDR_ENDPOINTS),
         ("HDR_RING_CAP", layout::HDR_RING_CAP),
         ("HDR_BUFFERS", layout::HDR_BUFFERS),
         ("HDR_MSG_SIZE", layout::HDR_MSG_SIZE),
         ("HDR_EP_ALLOC_LOCK", layout::HDR_EP_ALLOC_LOCK),
+        ("HDR_EP_EPOCH", layout::HDR_EP_EPOCH),
         ("HDR_MISADDR_DROPS", layout::HDR_MISADDR_DROPS),
         ("HDR_MISADDR_TAKEN", layout::HDR_MISADDR_TAKEN),
         ("FREE_LOCK", fl + layout::FREE_LOCK),
@@ -830,7 +887,7 @@ mod tests {
             "x/a.rs",
             "use std::sync::atomic::AtomicU32;\nuse core::sync::{atomic, Mutex};\nuse crate::sync::atomic::Ordering;\n",
         );
-        let r = run_all(&[f], &cfg());
+        let r = run_all(&[f], &cfg(), &CrateLinks::default());
         let hits: Vec<u32> = r
             .findings
             .iter()
@@ -855,7 +912,7 @@ mod tests {
         let f = file("x/q.rs", src);
         let mut c = cfg();
         c.handshake = vec!["x/q.rs::Q::handshake".to_string()];
-        let r = run_all(&[f], &c);
+        let r = run_all(&[f], &c, &CrateLinks::default());
         let hits: Vec<u32> = r
             .findings
             .iter()
@@ -875,7 +932,7 @@ mod tests {
         let f = file("x/h.rs", src);
         let mut c = cfg();
         c.hot_path = vec!["x/h.rs::hot".to_string()];
-        let r = run_all(&[f], &c);
+        let r = run_all(&[f], &c, &CrateLinks::default());
         let msgs: Vec<&str> = r
             .findings
             .iter()
@@ -891,6 +948,93 @@ mod tests {
     }
 
     #[test]
+    fn hot_path_flags_atomic_rmw_once_at_its_site() {
+        let src = r#"
+            fn hot(&self) {
+                self.n.fetch_add(1, Ordering::Relaxed);
+                self.flag.swap(true, Ordering::AcqRel);
+                self.slots.swap(0, 1);
+                std::mem::swap(&mut a, &mut b);
+                self.w.compare_exchange_weak(0, 1, Ordering::AcqRel, Ordering::Relaxed);
+            }
+            impl Facade {
+                fn fetch_add(&self, v: u32, o: Ordering) -> u32 { self.0.fetch_add(v, o) }
+            }
+        "#;
+        let f = file("x/r.rs", src);
+        let mut c = cfg();
+        c.hot_path = vec!["x/r.rs::hot".to_string()];
+        let r = run_all(&[f], &c, &CrateLinks::default());
+        let hits: Vec<(u32, &str)> = r
+            .findings
+            .iter()
+            .map(|f| (f.line, f.message.as_str()))
+            .collect();
+        assert_eq!(
+            hits,
+            vec![
+                (3, "hot path rmw `.fetch_add()` at x/r.rs:3"),
+                (4, "hot path rmw `.swap()` at x/r.rs:4"),
+                (7, "hot path rmw `.compare_exchange_weak()` at x/r.rs:7"),
+            ],
+            "slice and mem swaps are not RMWs, and the facade is not walked"
+        );
+    }
+
+    #[test]
+    fn cross_crate_names_resolve_only_into_linked_crates() {
+        // `advance` exists in core and in net; the engine links only core,
+        // so the call resolves there and the unlinked twin is never walked.
+        let engine = file("crates/engine/src/e.rs", "fn hot(&self) { q.advance(); }");
+        let core = file(
+            "crates/core/src/q.rs",
+            "impl EngineQueue { fn advance(&self) { self.p.fetch_add(1, Ordering::Release); } }",
+        );
+        let net = file(
+            "crates/net/src/c.rs",
+            "impl ManualClock { fn advance(&self) { self.t.fetch_add(1, Ordering::Release); } }",
+        );
+        let mut c = cfg();
+        c.hot_path = vec!["crates/engine/src/e.rs::hot".to_string()];
+        let files = [engine, core, net];
+        let hits = |links: &CrateLinks| -> Vec<String> {
+            run_all(&files, &c, links)
+                .findings
+                .iter()
+                .map(|f| f.message.clone())
+                .collect()
+        };
+        assert!(
+            hits(&CrateLinks::default()).is_empty(),
+            "two unconstrained candidates: refused"
+        );
+        let links = CrateLinks(HashMap::from([(
+            "crates/engine".to_string(),
+            HashSet::from(["crates/engine".to_string(), "crates/core".to_string()]),
+        )]));
+        assert_eq!(
+            hits(&links),
+            vec!["hot path rmw `.fetch_add()` at crates/core/src/q.rs:1 (via hot → EngineQueue::advance)"]
+        );
+    }
+
+    #[test]
+    fn bare_lock_calls_do_not_resolve_to_a_tas_lock() {
+        let src = r#"
+            fn hot(&self) { let g = self.state.lock(); }
+            impl TasLock {
+                fn lock(&self) { self.w.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed); }
+            }
+        "#;
+        let f = file("x/l.rs", src);
+        let mut c = cfg();
+        c.hot_path = vec!["x/l.rs::hot".to_string()];
+        let r = run_all(&[f], &c, &CrateLinks::default());
+        let msgs: Vec<&str> = r.findings.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(msgs, vec!["hot path locks `.lock()` at x/l.rs:2"]);
+    }
+
+    #[test]
     fn hot_path_skips_cfg_gated_functions() {
         let src = r#"
             fn hot() { on_write(); }
@@ -902,7 +1046,7 @@ mod tests {
         let f = file("x/g.rs", src);
         let mut c = cfg();
         c.hot_path = vec!["x/g.rs::hot".to_string()];
-        let r = run_all(&[f], &c);
+        let r = run_all(&[f], &c, &CrateLinks::default());
         assert_eq!(
             r.findings.iter().filter(|f| f.rule == "hot-path").count(),
             0,
@@ -934,7 +1078,7 @@ mod tests {
             ("release".to_string(), "EP_RELEASE".to_string()),
             ("process".to_string(), "EP_PROCESS".to_string()),
         ];
-        let r = run_all(&[f], &c);
+        let r = run_all(&[f], &c, &CrateLinks::default());
         let hits: Vec<(u32, &str)> = r
             .findings
             .iter()
@@ -951,6 +1095,7 @@ mod tests {
         assert_eq!(m["EP_PROCESS"], WriteOwner::Engine);
         assert_eq!(m["EP_DROPS"], WriteOwner::Engine);
         assert_eq!(m["HDR_MISADDR_DROPS"], WriteOwner::Engine);
+        assert_eq!(m["HDR_EP_EPOCH"], WriteOwner::App);
         assert_eq!(m["RING_SLOT"], WriteOwner::App);
         assert_eq!(m["BUF_PAYLOAD"], WriteOwner::Dynamic);
     }

@@ -1,5 +1,6 @@
 //! Golden test: the analyzer must detect one seeded violation per rule
-//! family in `tests/fixtures/` and emit byte-identical JSON.
+//! family in `tests/fixtures/` (two for `hot-path`: an allocation and an
+//! atomic RMW) and emit byte-identical JSON.
 
 use std::path::Path;
 
@@ -30,7 +31,14 @@ fn detects_one_violation_per_rule_family() {
     };
     assert_eq!(find("atomics-facade"), vec![("src/facade.rs", 4)]);
     assert_eq!(find("memory-ordering"), vec![("src/handshake.rs", 11)]);
-    assert_eq!(find("hot-path"), vec![("src/hot.rs", 6)]);
+    assert_eq!(find("hot-path"), vec![("src/hot.rs", 6), ("src/hot.rs", 8)]);
+    let rmw: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.message.starts_with("hot path rmw"))
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(rmw, vec!["hot path rmw `.fetch_add()` at src/hot.rs:8"]);
     assert_eq!(find("single-writer"), vec![("src/writer.rs", 8)]);
     // The justified Relaxed and the correct-role store must NOT appear.
     assert!(!report

@@ -20,7 +20,8 @@ fn main() {
     // Raw API in its steady state: buffers are allocated once and recycled
     // — each message still costs the sender a `reclaim_send` and the
     // receiver a `provide_receive_buffer`, which is exactly the paper's
-    // "half of the calls are buffer management".
+    // "half of the calls are buffer management". The loop counts the calls
+    // it makes: send/recv on one side, allocate/provide/reclaim on the other.
     let mut cl =
         InlineCluster::new(2, Geometry::small(), EngineConfig::default()).expect("cluster");
     let a = cl.node(0).attach();
@@ -32,26 +33,27 @@ fn main() {
         .endpoint_allocate(EndpointType::Receive, Importance::Normal)
         .expect("ep");
     let dest = b.address(&rx);
+    let mut raw_msg_calls = 0u64;
+    let mut raw_buf_calls = 0u64;
     let first = b.buffer_allocate().expect("buffer");
     b.provide_receive_buffer(&rx, first)
         .map_err(|r| r.error)
         .expect("provide");
     let mut token = Some(a.buffer_allocate().expect("buffer"));
+    raw_buf_calls += 3;
     for _ in 0..MESSAGES {
         let mut t = token.take().expect("send buffer");
         a.payload_mut(&mut t)[..4].copy_from_slice(b"ping");
         a.send(&tx, t, dest).expect("send");
         cl.pump_until_idle(16);
         let got = b.recv(&rx).expect("recv").expect("message");
+        raw_msg_calls += 2;
         b.provide_receive_buffer(&rx, got.token)
             .map_err(|r| r.error)
             .expect("recycle");
         token = Some(a.reclaim_send(&tx).expect("reclaim").expect("buffer"));
+        raw_buf_calls += 2;
     }
-    let sa = a.call_stats();
-    let sb = b.call_stats();
-    let raw_msg_calls = sa.sends + sb.recvs;
-    let raw_buf_calls = sa.buffer_mgmt + sb.buffer_mgmt;
 
     // Managed layer: one call per message per side.
     let mut cl =

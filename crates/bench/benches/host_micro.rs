@@ -7,7 +7,9 @@
 //! of each wait-free operation; the coherence costs are what the simulated
 //! Paragon model charges for). One pair adds a second writer thread: a
 //! write to a line another thread keeps writing vs a write to a padded,
-//! private line — the paper's layout lesson on modern hardware.
+//! private line — the paper's layout lesson on modern hardware. The
+//! `engine/idle_pass` rows time one engine pass with nothing to move, at
+//! three endpoint-table sizes.
 //!
 //! The end-to-end message path is timed by the wall-clock benchmark in
 //! `perfbench/` (`pingpong_loopback`), not here.
@@ -23,7 +25,7 @@ use flipc_core::endpoint::{EndpointAddress, EndpointIndex, EndpointType, FlipcNo
 use flipc_core::layout::Geometry;
 use flipc_core::wait::WaitRegistry;
 use flipc_core::Flipc;
-use flipc_engine::spsc;
+use flipc_engine::{fabric, spsc, Engine, EngineConfig};
 
 fn queue_ops(c: &mut Criterion) {
     let cb = CommBuffer::new(Geometry::small()).expect("commbuf");
@@ -132,6 +134,31 @@ fn api_send_path(c: &mut Criterion) {
     });
 }
 
+fn engine_idle_pass(c: &mut Criterion) {
+    // One allocated Normal send endpoint with nothing queued, on a
+    // loopback port: the pass's cost is the engine's fixed overhead, which
+    // should not grow with the slots nobody uses.
+    for endpoints in [1u16, 8, 128] {
+        let geo = Geometry {
+            endpoints,
+            ..Geometry::small()
+        };
+        let cb = Arc::new(CommBuffer::new(geo).expect("commbuf"));
+        cb.alloc_endpoint(EndpointType::Send, Importance::Normal)
+            .expect("endpoint");
+        let port = fabric(1, 64).pop().expect("port");
+        let mut engine = Engine::new(
+            cb,
+            Box::new(port),
+            WaitRegistry::new(),
+            EngineConfig::default(),
+        );
+        c.bench_function(&format!("engine/idle_pass/{endpoints}_slots"), |b| {
+            b.iter(|| engine.iterate())
+        });
+    }
+}
+
 fn false_sharing_microbench(c: &mut Criterion) {
     // The paper's layout lesson on modern hardware: two threads writing
     // adjacent words (one line) vs padded words (separate lines). On a
@@ -187,6 +214,6 @@ criterion_group! {
     name = benches;
     config = configure();
     targets = queue_ops, counter_ops, lock_ops, spsc_ops, buffer_pool, api_send_path,
-        false_sharing_microbench
+        engine_idle_pass, false_sharing_microbench
 }
 criterion_main!(benches);

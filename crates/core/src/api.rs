@@ -14,8 +14,9 @@
 //! Steps 2–4 are the delivery path; steps 1 and 5 are resource control,
 //! which FLIPC deliberately leaves to the application — the paper observes
 //! that about half of an application's FLIPC calls end up being buffer
-//! management (reproduced by the call counters here; the `managed` module
-//! is the improved design the paper's Future Work section calls for).
+//! management (reproduced by the `call_ratio` bench, which counts the calls
+//! its workload makes; the `managed` module is the improved design the
+//! paper's Future Work section calls for).
 //!
 //! Every queue operation exists in a *locked* variant (TAS mutual exclusion
 //! among application threads) and an *unlocked* variant for applications
@@ -23,7 +24,7 @@
 //! bus-locked test-and-set was expensive enough that all of the paper's
 //! performance results use the unlocked versions.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,44 +82,11 @@ pub struct Rejected {
     pub token: BufferToken,
 }
 
-/// Call-count instrumentation for experiment E9 (the send/receive vs
-/// buffer-management call ratio).
-#[derive(Debug, Default)]
-pub struct CallStats {
-    sends: AtomicU64,
-    recvs: AtomicU64,
-    buffer_mgmt: AtomicU64,
-}
-
-/// A point-in-time copy of [`CallStats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CallStatsSnapshot {
-    /// `send*` calls.
-    pub sends: u64,
-    /// `recv*` calls that returned a message.
-    pub recvs: u64,
-    /// Buffer-management calls: allocate, free, provide, reclaim.
-    pub buffer_mgmt: u64,
-}
-
-impl CallStatsSnapshot {
-    /// Fraction of all counted calls that were buffer management.
-    pub fn buffer_mgmt_fraction(&self) -> f64 {
-        let total = self.sends + self.recvs + self.buffer_mgmt;
-        if total == 0 {
-            0.0
-        } else {
-            self.buffer_mgmt as f64 / total as f64
-        }
-    }
-}
-
 /// The per-application FLIPC handle.
 pub struct Flipc {
     cb: Arc<CommBuffer>,
     node: FlipcNodeId,
     registry: Arc<WaitRegistry>,
-    stats: CallStats,
     index_base: u16,
     /// Peer liveness published by the node's transport, if the node has
     /// one. Checked on `send` so a dead destination is rejected with
@@ -150,7 +118,6 @@ impl Flipc {
             cb,
             node,
             registry,
-            stats: CallStats::default(),
             index_base,
             liveness: None,
         }
@@ -182,15 +149,6 @@ impl Flipc {
     /// Application payload bytes available in each message buffer.
     pub fn payload_size(&self) -> usize {
         self.cb.payload_size()
-    }
-
-    /// Snapshot of the call-ratio instrumentation.
-    pub fn call_stats(&self) -> CallStatsSnapshot {
-        CallStatsSnapshot {
-            sends: self.stats.sends.load(Ordering::Relaxed),
-            recvs: self.stats.recvs.load(Ordering::Relaxed),
-            buffer_mgmt: self.stats.buffer_mgmt.load(Ordering::Relaxed),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -225,13 +183,11 @@ impl Flipc {
     /// Allocates a message buffer (FLIPC internalizes all buffers so
     /// alignment rules hold by construction).
     pub fn buffer_allocate(&self) -> Result<BufferToken> {
-        self.stats.buffer_mgmt.fetch_add(1, Ordering::Relaxed);
         self.cb.alloc_buffer()
     }
 
     /// Returns a buffer to the pool.
     pub fn buffer_free(&self, token: BufferToken) {
-        self.stats.buffer_mgmt.fetch_add(1, Ordering::Relaxed);
         self.cb.free_buffer(token);
     }
 
@@ -330,10 +286,7 @@ impl Flipc {
             Err(error) => return Err(Rejected { error, token }),
         };
         match q.release(idx) {
-            Ok(()) => {
-                self.stats.sends.fetch_add(1, Ordering::Relaxed);
-                Ok(BufferId(idx))
-            }
+            Ok(()) => Ok(BufferId(idx)),
             Err(error) => {
                 // Undo the state change; the application still owns it.
                 self.cb.header(idx).set_state(BufferState::Free);
@@ -359,7 +312,6 @@ impl Flipc {
         if ep.ty != EndpointType::Send {
             return Err(FlipcError::WrongEndpointType);
         }
-        self.stats.buffer_mgmt.fetch_add(1, Ordering::Relaxed);
         let mut q = self.cb.app_queue(ep.idx)?;
         match q.acquire() {
             Some(idx) => {
@@ -415,7 +367,6 @@ impl Flipc {
                 token,
             });
         }
-        self.stats.buffer_mgmt.fetch_add(1, Ordering::Relaxed);
         let idx = token.index();
         self.cb.header(idx).set_state(BufferState::Queued);
         let mut q = match self.cb.app_queue(ep.idx) {
@@ -457,7 +408,6 @@ impl Flipc {
                 }
                 let (from, _state) = self.cb.header(idx).load();
                 self.cb.header(idx).set_state(BufferState::Free);
-                self.stats.recvs.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(Received {
                     token: BufferToken::new(idx),
                     from,
@@ -620,28 +570,6 @@ mod tests {
         assert_eq!(rej.error, FlipcError::QueueFull);
         assert_eq!(rej.token.index(), tidx);
         assert_eq!(f.buffer_state(BufferId(tidx)).unwrap(), BufferState::Free);
-    }
-
-    #[test]
-    fn call_ratio_matches_papers_half_and_half_observation() {
-        // A ping-pong style workload: allocate, send, reclaim — the paper's
-        // observation that ~half the calls are buffer management.
-        let f = flipc();
-        let send = f
-            .endpoint_allocate(EndpointType::Send, Importance::Normal)
-            .unwrap();
-        let dest = EndpointAddress::new(FlipcNodeId(1), EndpointIndex(0), 1);
-        for _ in 0..100 {
-            let t = f.buffer_allocate().unwrap();
-            f.send(&send, t, dest).unwrap();
-            pump_engine(&f, send.index());
-            let back = f.reclaim_send(&send).unwrap().unwrap();
-            f.buffer_free(back);
-        }
-        let s = f.call_stats();
-        assert_eq!(s.sends, 100);
-        assert_eq!(s.buffer_mgmt, 300); // allocate + reclaim + free per message
-        assert!(s.buffer_mgmt_fraction() > 0.5);
     }
 
     #[test]

@@ -29,8 +29,8 @@ use crate::error::{FlipcError, Result};
 use crate::layout::{
     Geometry, Layout, COMMBUF_MAGIC, EP_ACQUIRE, EP_DROPS, EP_DROPS_TAKEN, EP_GEN_ACTIVE,
     EP_IMPORTANCE, EP_LOCK, EP_PROCESS, EP_RELEASE, EP_TYPE, EP_WAITERS, FREE_LOCK, FREE_SLOTS,
-    FREE_TOP, HDR_BUFFERS, HDR_ENDPOINTS, HDR_EP_ALLOC_LOCK, HDR_MAGIC, HDR_MISADDR_DROPS,
-    HDR_MISADDR_TAKEN, HDR_MSG_SIZE, HDR_RING_CAP,
+    FREE_TOP, HDR_BUFFERS, HDR_ENDPOINTS, HDR_EP_ALLOC_LOCK, HDR_EP_EPOCH, HDR_MAGIC,
+    HDR_MISADDR_DROPS, HDR_MISADDR_TAKEN, HDR_MSG_SIZE, HDR_RING_CAP,
 };
 use crate::lock::TasLock;
 use crate::queue::{AppQueue, EngineQueue};
@@ -192,6 +192,7 @@ impl CommBuffer {
                 // Publish activation last; the engine's Acquire load of
                 // gen_active then sees a fully configured record.
                 ga_w.store(((gen as u32) << 1) | 1, Ordering::Release);
+                self.bump_endpoint_epoch();
                 return Ok((EndpointIndex(i), gen));
             }
         }
@@ -214,7 +215,23 @@ impl CommBuffer {
             return Err(FlipcError::QueueFull);
         }
         ga_w.store(ga & !1, Ordering::Release);
+        self.bump_endpoint_epoch();
         Ok(())
+    }
+
+    /// Announces an endpoint-table change to the engine. Called with the
+    /// allocation lock held, after the slot's records are published, so
+    /// the lock makes this a single-writer load plus store.
+    fn bump_endpoint_epoch(&self) {
+        let w = self.region.atomic_u32(HDR_EP_EPOCH);
+        w.store(w.load(Ordering::Relaxed).wrapping_add(1), Ordering::Release);
+    }
+
+    /// The endpoint-table epoch: changes whenever an endpoint is allocated
+    /// or freed. An Acquire load that sees a new value also sees the
+    /// endpoint records published before the bump.
+    pub fn endpoint_epoch(&self) -> u32 {
+        self.region.atomic_u32(HDR_EP_EPOCH).load(Ordering::Acquire)
     }
 
     /// Reads an endpoint's (generation, active) pair.
@@ -500,6 +517,32 @@ mod tests {
             .unwrap();
         assert_eq!(a2, a, "first free slot is reused");
         assert_eq!(g2, g1.wrapping_add(1));
+    }
+
+    #[test]
+    fn endpoint_epoch_moves_on_every_table_change() {
+        let c = cb();
+        let e0 = c.endpoint_epoch();
+        let (ep, _) = c
+            .alloc_endpoint(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let e1 = c.endpoint_epoch();
+        assert_ne!(e1, e0, "allocate bumps the epoch");
+        c.free_endpoint(ep).unwrap();
+        let e2 = c.endpoint_epoch();
+        assert_ne!(e2, e1, "free bumps the epoch");
+        // Failed calls leave the table, and so the epoch, unchanged.
+        assert!(c.free_endpoint(ep).is_err());
+        assert_eq!(c.endpoint_epoch(), e2);
+        for _ in 0..8 {
+            c.alloc_endpoint(EndpointType::Send, Importance::Normal)
+                .unwrap();
+        }
+        let full = c.endpoint_epoch();
+        assert!(c
+            .alloc_endpoint(EndpointType::Send, Importance::Normal)
+            .is_err());
+        assert_eq!(c.endpoint_epoch(), full);
     }
 
     #[test]

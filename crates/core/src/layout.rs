@@ -21,7 +21,8 @@
 //!
 //! ```text
 //!  offset 0 ┌──────────────────────────────────────────────┐
-//!           │ header: magic, geometry            (2 lines) │
+//!           │ header: magic, geometry; endpoint alloc      │
+//!           │   lock + epoch; misaddressed pair (4 lines)  │
 //!           ├──────────────────────────────────────────────┤
 //!           │ free-list: lock line + top + slots  (app-only)│
 //!           ├──────────────────────────────────────────────┤
@@ -153,6 +154,10 @@ pub const HDR_BUFFERS: usize = 12;
 pub const HDR_MSG_SIZE: usize = 16;
 /// Line 1 (application-written): TAS lock guarding endpoint allocation.
 pub const HDR_EP_ALLOC_LOCK: usize = CACHE_LINE;
+/// Line 1: endpoint-table epoch (u32), bumped under the allocation lock by
+/// every endpoint allocate and free. The engine rebuilds its cached lists
+/// of active send endpoints only when it sees this word change.
+pub const HDR_EP_EPOCH: usize = CACHE_LINE + 4;
 /// Line 2 (engine-written): counter of messages dropped because their
 /// destination endpoint was inactive or stale ("misaddressed"); the
 /// engine-written half of a read-and-reset pair.
@@ -319,6 +324,7 @@ impl Layout {
                 HDR_BUFFERS => f("header.buffers".into(), App),
                 HDR_MSG_SIZE => f("header.msg_size".into(), App),
                 HDR_EP_ALLOC_LOCK => f("header.ep_alloc_lock".into(), App),
+                HDR_EP_EPOCH => f("header.ep_epoch".into(), App),
                 HDR_MISADDR_DROPS => f("header.misaddr_drops".into(), Engine),
                 HDR_MISADDR_TAKEN => f("header.misaddr_taken".into(), App),
                 // Padding inherits its cache line's writer (line 2 is the
@@ -523,6 +529,10 @@ mod tests {
         let mut sorted = lines;
         sorted.sort_unstable();
         sorted.windows(2).for_each(|w| assert_ne!(w[0], w[1]));
+        // The epoch is app-written, so it shares the allocation lock's
+        // line and stays off the engine's counter line.
+        assert_eq!(HDR_EP_EPOCH / CACHE_LINE, HDR_EP_ALLOC_LOCK / CACHE_LINE);
+        assert_ne!(HDR_EP_EPOCH, HDR_EP_ALLOC_LOCK);
         const { assert!(HDR_MISADDR_TAKEN + 4 <= HDR_SIZE) };
     }
 
@@ -565,6 +575,7 @@ mod tests {
         let cases: &[(usize, &str, WriteOwner)] = &[
             (HDR_MAGIC, "header.magic", WriteOwner::App),
             (HDR_EP_ALLOC_LOCK, "header.ep_alloc_lock", WriteOwner::App),
+            (HDR_EP_EPOCH, "header.ep_epoch", WriteOwner::App),
             (
                 HDR_MISADDR_DROPS,
                 "header.misaddr_drops",

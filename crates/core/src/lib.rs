@@ -71,7 +71,7 @@ pub mod sync;
 pub(crate) mod testutil;
 pub mod wait;
 
-pub use api::{BufferId, CallStatsSnapshot, Flipc, LocalEndpoint, Received, Rejected};
+pub use api::{BufferId, Flipc, LocalEndpoint, Received, Rejected};
 pub use buffer::{BufferState, BufferToken};
 pub use commbuf::CommBuffer;
 pub use endpoint::{EndpointAddress, EndpointIndex, EndpointType, FlipcNodeId, Importance};

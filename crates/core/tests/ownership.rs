@@ -5,12 +5,23 @@
 
 use flipc_core::commbuf::CommBuffer;
 use flipc_core::endpoint::{EndpointType, Importance};
-use flipc_core::layout::{Geometry, WriteOwner, EP_DROPS, EP_PROCESS, HDR_MISADDR_DROPS};
+use flipc_core::layout::{
+    Geometry, WriteOwner, EP_DROPS, EP_PROCESS, HDR_EP_EPOCH, HDR_MISADDR_DROPS,
+};
 use flipc_core::ownership::{self, Role};
 use flipc_core::sync::atomic::Ordering;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 fn base_of(cb: &CommBuffer) -> usize {
     cb.raw_word(0) as *const _ as usize
+}
+
+/// The violation list is global and `take_violations` drains all of it,
+/// so a test reading it in parallel with another could take the other's
+/// violations. Every test here holds this lock while it runs.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Violations recorded for this buffer only (tests in this binary run in
@@ -28,6 +39,7 @@ fn my_violations(cb: &CommBuffer) -> Vec<ownership::Violation> {
 /// report it, resolved to the layout field name.
 #[test]
 fn errant_app_write_to_process_pointer_is_detected() {
+    let _serial = serial();
     let cb = CommBuffer::new(Geometry::small()).unwrap();
     let (ep, _) = cb
         .alloc_endpoint(EndpointType::Send, Importance::Normal)
@@ -53,6 +65,7 @@ fn errant_app_write_to_process_pointer_is_detected() {
 /// are cross-role; the legitimate engine-side handle is not.
 #[test]
 fn drop_counter_words_are_engine_owned() {
+    let _serial = serial();
     let cb = CommBuffer::new(Geometry::small()).unwrap();
     let (ep, _) = cb
         .alloc_endpoint(EndpointType::Receive, Importance::Normal)
@@ -86,6 +99,7 @@ fn drop_counter_words_are_engine_owned() {
 /// production code paths all write through correctly-roled accessors.
 #[test]
 fn normal_traffic_is_violation_free() {
+    let _serial = serial();
     let cb = CommBuffer::new(Geometry::small()).unwrap();
     let _ = my_violations(&cb);
     let (ep, _) = cb
@@ -113,11 +127,44 @@ fn normal_traffic_is_violation_free() {
     );
 }
 
+/// Endpoint allocate and free bump the App-owned endpoint-table epoch
+/// under the allocation lock: churn through the whole table is clean, and
+/// an engine-role store to the epoch is caught by field name.
+#[test]
+fn endpoint_epoch_is_app_written() {
+    let _serial = serial();
+    let cb = CommBuffer::new(Geometry::small()).unwrap();
+    let _ = my_violations(&cb);
+    let before = cb.endpoint_epoch();
+    let mut eps = Vec::new();
+    for ty in [EndpointType::Send, EndpointType::Receive].repeat(4) {
+        eps.push(cb.alloc_endpoint(ty, Importance::Low).unwrap().0);
+    }
+    for ep in eps {
+        cb.free_endpoint(ep).unwrap();
+    }
+    assert_eq!(cb.endpoint_epoch(), before.wrapping_add(16));
+    let violations = my_violations(&cb);
+    assert!(
+        violations.is_empty(),
+        "unexpected violations: {violations:?}"
+    );
+    {
+        let _role = ownership::enter(Role::Engine);
+        cb.raw_word(HDR_EP_EPOCH).store(0, Ordering::Relaxed);
+    }
+    let violations = my_violations(&cb);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].field, "header.ep_epoch");
+    assert_eq!(violations[0].owner, WriteOwner::App);
+}
+
 /// The telemetry histogram follows the same discipline: its recording
 /// side is Engine-owned, its harvest shadow is App-owned, and a pinned
 /// registered histogram reports cross-role writes by field name.
 #[test]
 fn histogram_words_follow_single_writer_discipline() {
+    let _serial = serial();
     use flipc_core::hist::Histogram;
     // Pinned allocation: registration requires a stable address.
     let h: Box<Histogram> = Box::new(Histogram::new());
@@ -175,6 +222,7 @@ fn histogram_words_follow_single_writer_discipline() {
 /// exempt — writes from either role are legal there.
 #[test]
 fn buffer_words_are_exempt_dynamic_ownership() {
+    let _serial = serial();
     let cb = CommBuffer::new(Geometry::small()).unwrap();
     let _ = my_violations(&cb);
     let token = cb.alloc_buffer().unwrap();

@@ -18,9 +18,16 @@
 //!   arrival with no queued receive buffer is discarded and counted. Every
 //!   node can therefore always accept from the interconnect, which avoids
 //!   deadlock on a reliable fabric.
-//! * **Priority-aware scanning**: higher-importance send endpoints are
-//!   serviced first, so message streams of varying importance (the
-//!   distributed real-time requirement) see differentiated service.
+//! * **Priority-aware scanning at O(work)**: higher-importance send
+//!   endpoints are serviced first, so message streams of varying
+//!   importance (the distributed real-time requirement) see differentiated
+//!   service. The engine keeps a private list of active send endpoints per
+//!   importance class and rebuilds it only when a domain's endpoint-table
+//!   epoch (`HDR_EP_EPOCH`, bumped by every endpoint allocate and free)
+//!   changes, so a pass costs one epoch load per domain plus three record
+//!   loads per active sender, not three per slot per class. Each cached
+//!   entry is re-validated when used: a stale or corrupt epoch costs a
+//!   rebuild, never a wrong send.
 
 use flipc_core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,8 +98,10 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// The engine is each counter's single writer, so a load plus a store
+    /// counts exactly without a read-modify-write.
     fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
     /// Sum of all frames that left the wire (delivered + discarded).
@@ -156,13 +165,64 @@ impl Domain {
     }
 }
 
+/// The importance class of slot `idx` if it is an active send endpoint.
+/// Three record loads: the same check whether a slot is listed or used.
+fn send_class(cb: &CommBuffer, idx: EndpointIndex) -> Option<Importance> {
+    match (
+        cb.endpoint_gen_active(idx),
+        cb.endpoint_type(idx),
+        cb.endpoint_importance(idx),
+    ) {
+        (Ok((_, true)), Ok(EndpointType::Send), Ok(imp)) => Some(imp),
+        _ => None,
+    }
+}
+
+/// One cached send endpoint: its flat scan position and where it lives.
+#[derive(Clone, Copy)]
+struct SendSlot {
+    flat: usize,
+    dom: usize,
+    idx: EndpointIndex,
+}
+
+/// The engine's private lists of active send endpoints, one per importance
+/// class (indexed by `Importance as usize`), each in flat-position order.
+struct ActiveSends {
+    /// Each domain's endpoint-table epoch when the lists were built.
+    epochs: Vec<u32>,
+    lists: [Vec<SendSlot>; 3],
+    /// A cached entry failed re-validation: rebuild on the next pass even
+    /// if no epoch moved.
+    stale: bool,
+    /// Endpoint slots across all domains (the flat positions' modulus).
+    slots: usize,
+}
+
+impl ActiveSends {
+    /// Empty lists marked stale, so the first pass builds them. Each list
+    /// is sized for every slot, so a rebuild never allocates.
+    fn new(domains: &[Domain]) -> ActiveSends {
+        let slots = domains.iter().map(|d| usize::from(d.endpoints())).sum();
+        ActiveSends {
+            epochs: vec![0; domains.len()],
+            lists: std::array::from_fn(|_| Vec::with_capacity(slots)),
+            stale: true,
+            slots,
+        }
+    }
+}
+
 /// The messaging engine for one node.
 pub struct Engine {
     domains: Vec<Domain>,
     transport: Box<dyn Transport>,
     cfg: EngineConfig,
     stats: Arc<EngineStats>,
-    scan_cursor: u16,
+    /// Flat scan position (domain slots laid end to end) where the next
+    /// pass starts within each importance class.
+    scan_cursor: usize,
+    active: ActiveSends,
     shaper: Shaper,
     /// Always-on wait-free histograms (iteration work, per-endpoint
     /// send→deliver latency). The engine is the single recorder.
@@ -201,29 +261,26 @@ impl Engine {
         for d in &domains {
             assert!(d.cb.magic_ok(), "communication buffer not initialized");
         }
+        let end = |d: &Domain| usize::from(d.index_base) + usize::from(d.endpoints());
         for (i, a) in domains.iter().enumerate() {
             for b in domains.iter().skip(i + 1) {
-                let a_end = a.index_base + a.endpoints();
-                let b_end = b.index_base + b.endpoints();
                 assert!(
-                    a_end <= b.index_base || b_end <= a.index_base,
+                    end(a) <= usize::from(b.index_base) || end(b) <= usize::from(a.index_base),
                     "domain endpoint-index ranges overlap"
                 );
             }
         }
         // Telemetry spans the node-global endpoint index space so latency
         // samples land on the index applications see in addresses.
-        let total_endpoints = domains
-            .iter()
-            .map(|d| usize::from(d.index_base) + usize::from(d.endpoints()))
-            .max()
-            .unwrap_or(0);
+        let total_endpoints = domains.iter().map(end).max().unwrap_or(0);
+        let active = ActiveSends::new(&domains);
         Engine {
             domains,
             transport,
             cfg,
             stats: Arc::new(EngineStats::default()),
             scan_cursor: 0,
+            active,
             shaper: Shaper::new(),
             telemetry: EngineTelemetry::new(total_endpoints),
             trace: None,
@@ -452,28 +509,34 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn pump_outgoing(&mut self) -> u32 {
-        let n: u16 = self.domains.iter().map(Domain::endpoints).sum();
+        self.refresh_active_sends();
         let mut budget = self.cfg.outgoing_budget;
         let mut done = 0;
         // Importance classes high to low across ALL domains; rotate the
         // start within a class so equal-importance endpoints share service
-        // fairly.
-        let mut last_served: Option<u16> = None;
+        // fairly. Each class walks its cached list from the first entry at
+        // or after the cursor, which is the order a full sweep of the slots
+        // from the cursor would visit them in.
+        let cursor = self.scan_cursor;
+        let mut last_served: Option<usize> = None;
         for importance in [Importance::High, Importance::Normal, Importance::Low] {
-            for step in 0..n {
+            let list = &self.active.lists[importance as usize];
+            let len = list.len();
+            let start = list.partition_point(|s| s.flat < cursor);
+            for k in 0..len {
                 if budget == 0 {
                     break;
                 }
-                let flat = (self.scan_cursor + step) % n;
-                let Some((dom, idx)) = self.flat_to_domain(flat) else {
-                    continue;
-                };
-                if !self.endpoint_sendable(dom, idx, importance) {
+                let slot = self.active.lists[importance as usize][(start + k) % len];
+                if send_class(&self.domains[slot.dom].cb, slot.idx) != Some(importance) {
+                    // The slot changed under a stale epoch: skip it and
+                    // rebuild the lists on the next pass.
+                    self.active.stale = true;
                     continue;
                 }
-                let moved = self.drain_send_endpoint(dom, idx, &mut budget);
+                let moved = self.drain_send_endpoint(slot.dom, slot.idx, &mut budget);
                 if moved > 0 {
-                    last_served = Some(flat);
+                    last_served = Some(slot.flat);
                 }
                 done += moved;
             }
@@ -481,9 +544,10 @@ impl Engine {
         // True round-robin: the next pass starts just after the endpoint
         // that transmitted last, so equal-importance endpoints share
         // service even under a tight budget.
+        let n = self.active.slots;
         self.scan_cursor = match last_served {
             Some(flat) => (flat + 1) % n,
-            None => (self.scan_cursor + 1) % n,
+            None => (cursor + 1) % n,
         };
         // End of the drain pass: the batch boundary. A coalescing
         // transport transmits everything staged above; eager transports
@@ -492,28 +556,35 @@ impl Engine {
         done
     }
 
-    /// Maps a flat scan position onto (domain, local endpoint index).
-    fn flat_to_domain(&self, flat: u16) -> Option<(usize, EndpointIndex)> {
-        let mut rest = flat;
-        for (d, dom) in self.domains.iter().enumerate() {
-            let n = dom.endpoints();
-            if rest < n {
-                return Some((d, EndpointIndex(rest)));
+    /// Rebuilds the active-send lists when any domain's endpoint-table
+    /// epoch moved since the last build, or a cached entry failed
+    /// re-validation. The epochs are read before the slots, so a change
+    /// racing with the rebuild shows up as a new epoch next pass.
+    fn refresh_active_sends(&mut self) {
+        let mut changed = self.active.stale;
+        for (seen, d) in self.active.epochs.iter_mut().zip(&self.domains) {
+            let epoch = d.cb.endpoint_epoch();
+            if *seen != epoch {
+                *seen = epoch;
+                changed = true;
             }
-            rest -= n;
         }
-        None
-    }
-
-    fn endpoint_sendable(&self, dom: usize, idx: EndpointIndex, importance: Importance) -> bool {
-        let cb = &self.domains[dom].cb;
-        match (
-            cb.endpoint_gen_active(idx),
-            cb.endpoint_type(idx),
-            cb.endpoint_importance(idx),
-        ) {
-            (Ok((_, true)), Ok(EndpointType::Send), Ok(imp)) => imp == importance,
-            _ => false,
+        if !changed {
+            return;
+        }
+        self.active.stale = false;
+        for list in &mut self.active.lists {
+            list.clear();
+        }
+        let mut flat = 0;
+        for (dom, d) in self.domains.iter().enumerate() {
+            for i in 0..d.endpoints() {
+                let idx = EndpointIndex(i);
+                if let Some(imp) = send_class(&d.cb, idx) {
+                    self.active.lists[imp as usize].push(SendSlot { flat, dom, idx });
+                }
+                flat += 1;
+            }
         }
     }
 
@@ -525,9 +596,12 @@ impl Engine {
     fn drain_send_endpoint(&mut self, dom: usize, idx: EndpointIndex, budget: &mut u32) -> u32 {
         let max_batch = self.cfg.max_batch.max(1);
         let mut done = 0;
+        let index_base = self.domains[dom].index_base;
+        let payload_size = self.domains[dom].cb.payload_size();
         while *budget > 0 && done < max_batch {
-            let cb = self.domains[dom].cb.clone();
-            let index_base = self.domains[dom].index_base;
+            // Borrowed afresh each turn: the borrow ends before the
+            // node-local `deliver`, so no refcount RMW is needed.
+            let cb: &CommBuffer = &self.domains[dom].cb;
             let Ok(q) = cb.engine_queue(idx) else { break };
             if self.cfg.check_mode == CheckMode::Checked && validate_backlog(&q).is_err() {
                 // Corrupted queue: skip the endpoint entirely this pass.
@@ -535,8 +609,7 @@ impl Engine {
                 break;
             }
             let Some(buf) = q.peek() else { break };
-            if self.cfg.check_mode == CheckMode::Checked
-                && validate_queued_buffer(&cb, buf).is_err()
+            if self.cfg.check_mode == CheckMode::Checked && validate_queued_buffer(cb, buf).is_err()
             {
                 q.advance();
                 EngineStats::bump(&self.stats.check_failures);
@@ -546,7 +619,7 @@ impl Engine {
             let global_idx = index_base + idx.0;
             // Capacity control: if this endpoint's token bucket cannot
             // cover the message, leave it queued and move on.
-            if !self.shaper.admit(global_idx, cb.payload_size() as u64) {
+            if !self.shaper.admit(global_idx, payload_size as u64) {
                 break;
             }
             let (dest, _) = cb.header(buf).load();
@@ -587,7 +660,7 @@ impl Engine {
 
             let src =
                 EndpointAddress::new(self.transport.local_node(), EndpointIndex(global_idx), gen);
-            let mut payload = vec![0u8; cb.payload_size()].into_boxed_slice();
+            let mut payload = vec![0u8; payload_size].into_boxed_slice();
             // SAFETY: The engine owns `buf` between `peek` and `advance`.
             unsafe { cb.payload_read(buf, &mut payload) };
             let frame = Frame {
@@ -625,7 +698,7 @@ impl Engine {
                     TraceKind::Send,
                     self.transport.local_node().0,
                     global_idx,
-                    cb.payload_size() as u32,
+                    payload_size as u32,
                 );
             }
             *budget -= 1;
@@ -1587,5 +1660,282 @@ mod lifecycle_tests {
             3,
             "the boundary flush trails the pass's sends"
         );
+    }
+}
+
+#[cfg(test)]
+mod active_send_tests {
+    use super::*;
+    use crate::loopback::fabric;
+    use flipc_core::api::{Flipc, LocalEndpoint};
+    use flipc_core::endpoint::FlipcNodeId;
+    use flipc_core::layout::{Geometry, HDR_EP_EPOCH};
+
+    /// One node (node 0 of a two-port fabric) and its application handle.
+    fn node(cfg: EngineConfig) -> (Flipc, Engine) {
+        let mut ports = fabric(2, 64).into_iter();
+        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+        let registry = WaitRegistry::new();
+        let flipc = Flipc::attach(cb.clone(), FlipcNodeId(0), registry.clone());
+        let engine = Engine::new(cb, Box::new(ports.next().unwrap()), registry, cfg);
+        (flipc, engine)
+    }
+
+    fn inbox(f: &Flipc, buffers: usize) -> LocalEndpoint {
+        let rx = f
+            .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+            .unwrap();
+        for _ in 0..buffers {
+            let b = f.buffer_allocate().unwrap();
+            f.provide_receive_buffer(&rx, b)
+                .map_err(|r| r.error)
+                .unwrap();
+        }
+        rx
+    }
+
+    fn send_byte(f: &Flipc, ep: &LocalEndpoint, dest: EndpointAddress, byte: u8) {
+        let mut t = f.buffer_allocate().unwrap();
+        f.payload_mut(&mut t)[0] = byte;
+        f.send(ep, t, dest).unwrap();
+    }
+
+    fn recv_bytes(f: &Flipc, rx: &LocalEndpoint) -> Vec<u8> {
+        let mut got = Vec::new();
+        while let Some(r) = f.recv(rx).unwrap() {
+            got.push(f.payload(&r.token)[0]);
+        }
+        got
+    }
+
+    fn sent(e: &Engine) -> u64 {
+        e.stats().sent.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn endpoint_allocated_after_idle_passes_is_served_next_pass() {
+        let (f, mut engine) = node(EngineConfig::default());
+        let rx = inbox(&f, 2);
+        for _ in 0..3 {
+            assert_eq!(engine.iterate(), 0);
+        }
+        let tx = f
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        send_byte(&f, &tx, f.address(&rx), 7);
+        assert_eq!(
+            engine.iterate(),
+            1,
+            "served on the first pass after allocation"
+        );
+        assert_eq!(recv_bytes(&f, &rx), vec![7]);
+    }
+
+    /// A send slot freed and re-allocated as a receive endpoint holds
+    /// queued receive buffers; draining it as a sender would transmit
+    /// them. With `corrupt_epoch` the application writes the old epoch
+    /// back, so only re-validation of the cached entry stands in the way.
+    fn reallocated_as_receive_is_never_drained(corrupt_epoch: bool) {
+        let (f, mut engine) = node(EngineConfig::default());
+        let cb = f.commbuf().clone();
+        let tx = f
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let remote = EndpointAddress::new(FlipcNodeId(1), EndpointIndex(0), 1);
+        send_byte(&f, &tx, remote, 1);
+        engine.iterate();
+        assert_eq!(sent(&engine), 1);
+        let back = f.reclaim_send(&tx).unwrap().unwrap();
+        f.buffer_free(back);
+        let slot = tx.index();
+        let old_epoch = cb.endpoint_epoch();
+        f.endpoint_free(tx).unwrap();
+        let rx = inbox(&f, 2);
+        assert_eq!(rx.index(), slot, "first-fit reuse of the send slot");
+        if corrupt_epoch {
+            cb.raw_word(HDR_EP_EPOCH)
+                .store(old_epoch, Ordering::Relaxed);
+        }
+        let first = cb.engine_queue(slot).unwrap().peek();
+        assert!(first.is_some());
+        for _ in 0..4 {
+            engine.iterate();
+        }
+        assert_eq!(sent(&engine), 1, "a receive slot was drained as a sender");
+        assert_eq!(
+            cb.engine_queue(slot).unwrap().peek(),
+            first,
+            "receive buffers must stay queued"
+        );
+    }
+
+    #[test]
+    fn send_slot_reallocated_as_receive_is_never_drained() {
+        reallocated_as_receive_is_never_drained(false);
+    }
+
+    #[test]
+    fn corrupt_epoch_costs_a_rebuild_never_a_wrong_send() {
+        reallocated_as_receive_is_never_drained(true);
+    }
+
+    #[test]
+    fn failed_revalidation_forces_a_rebuild_on_the_next_pass() {
+        let (f, mut engine) = node(EngineConfig::default());
+        let cb = f.commbuf().clone();
+        let tx = f
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let rx = inbox(&f, 2);
+        engine.iterate(); // lists built: the slot is a Normal sender
+        let old_epoch = cb.endpoint_epoch();
+        f.endpoint_free(tx).unwrap();
+        let tx = f
+            .endpoint_allocate(EndpointType::Send, Importance::High)
+            .unwrap();
+        cb.raw_word(HDR_EP_EPOCH)
+            .store(old_epoch, Ordering::Relaxed);
+        send_byte(&f, &tx, f.address(&rx), 9);
+        engine.iterate();
+        assert!(
+            recv_bytes(&f, &rx).is_empty(),
+            "the stale Normal entry is skipped"
+        );
+        engine.iterate();
+        assert_eq!(
+            recv_bytes(&f, &rx),
+            vec![9],
+            "rebuilt lists serve it at High"
+        );
+    }
+
+    #[test]
+    fn slot_reallocated_at_high_is_served_before_normal() {
+        let cfg = EngineConfig {
+            outgoing_budget: 1,
+            ..Default::default()
+        };
+        let (f, mut engine) = node(cfg);
+        let normal = f
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let doomed = f
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let rx = inbox(&f, 4);
+        engine.iterate(); // lists built with both senders at Normal
+        let slot = doomed.index();
+        f.endpoint_free(doomed).unwrap();
+        let high = f
+            .endpoint_allocate(EndpointType::Send, Importance::High)
+            .unwrap();
+        assert_eq!(high.index(), slot);
+        let dest = f.address(&rx);
+        send_byte(&f, &normal, dest, b'n');
+        send_byte(&f, &high, dest, b'h');
+        engine.iterate();
+        assert_eq!(recv_bytes(&f, &rx), b"h", "one send per pass: High first");
+        engine.iterate();
+        assert_eq!(recv_bytes(&f, &rx), b"n");
+    }
+
+    #[test]
+    fn new_multi_lists_every_domains_senders() {
+        let mut ports = fabric(2, 64).into_iter();
+        let mut domains = Vec::new();
+        let mut apps = Vec::new();
+        for base in [0u16, 8, 16] {
+            let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+            let registry = WaitRegistry::new();
+            apps.push(Flipc::attach_at(
+                cb.clone(),
+                FlipcNodeId(0),
+                registry.clone(),
+                base,
+            ));
+            domains.push(Domain {
+                cb,
+                registry,
+                index_base: base,
+                allowed_destinations: None,
+            });
+        }
+        let mut engine = Engine::new_multi(
+            domains,
+            Box::new(ports.next().unwrap()),
+            EngineConfig::default(),
+        );
+        let rx = inbox(&apps[0], 8);
+        let dest = apps[0].address(&rx);
+        for (i, (app, imp)) in apps
+            .iter()
+            .zip([Importance::Low, Importance::High, Importance::Normal])
+            .enumerate()
+        {
+            let tx = app.endpoint_allocate(EndpointType::Send, imp).unwrap();
+            send_byte(app, &tx, dest, i as u8);
+        }
+        assert_eq!(engine.iterate(), 3, "one pass serves every domain's sender");
+        assert_eq!(
+            recv_bytes(&apps[0], &rx),
+            vec![1, 2, 0],
+            "High, Normal, Low"
+        );
+    }
+
+    /// Regression: the flat scan position used to be computed in `u16`,
+    /// so a cursor past 32,767 overflowed on the next pass (a debug-build
+    /// panic; a wrapped index in release). Skipped under
+    /// `ownership-checks`, where each of the engine's 32,770 telemetry
+    /// histograms registers a 132-field table with the global checker
+    /// (about 20 s and 600 MB); the arithmetic is the same either way.
+    #[test]
+    #[cfg_attr(
+        feature = "ownership-checks",
+        ignore = "registers 32,770 telemetry histograms with the ownership checker"
+    )]
+    fn scan_positions_past_u16_half_range_do_not_overflow() {
+        let geo = |endpoints| Geometry {
+            endpoints,
+            ring_capacity: 2,
+            buffers: 4,
+            msg_size: 128,
+        };
+        let mut ports = fabric(1, 8).into_iter();
+        let mut domains = Vec::new();
+        let mut apps = Vec::new();
+        for (endpoints, base) in [(32_768, 0), (1, 32_768), (1, 32_769)] {
+            let cb = Arc::new(CommBuffer::new(geo(endpoints)).unwrap());
+            let registry = WaitRegistry::new();
+            apps.push(Flipc::attach_at(
+                cb.clone(),
+                FlipcNodeId(0),
+                registry.clone(),
+                base,
+            ));
+            domains.push(Domain {
+                cb,
+                registry,
+                index_base: base,
+                allowed_destinations: None,
+            });
+        }
+        let mut engine = Engine::new_multi(
+            domains,
+            Box::new(ports.next().unwrap()),
+            EngineConfig::default(),
+        );
+        let tx = apps[1]
+            .endpoint_allocate(EndpointType::Send, Importance::Normal)
+            .unwrap();
+        let rx = inbox(&apps[2], 2);
+        let dest = apps[2].address(&rx);
+        send_byte(&apps[1], &tx, dest, 1);
+        engine.iterate(); // served from flat slot 32,768: cursor 32,769
+        let back = apps[1].reclaim_send(&tx).unwrap().unwrap();
+        apps[1].buffer_free(back);
+        send_byte(&apps[1], &tx, dest, 2);
+        engine.iterate();
+        assert_eq!(recv_bytes(&apps[2], &rx), vec![1, 2]);
     }
 }
