@@ -108,12 +108,21 @@ impl Flipc {
     /// endpoint-index base — the multiple-communication-buffers-per-node
     /// configuration, where each protection domain's endpoints occupy a
     /// distinct slice of the node's index space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer's endpoint slots, placed at `index_base`, run
+    /// past the last node-global endpoint index (65,535).
     pub fn attach_at(
         cb: Arc<CommBuffer>,
         node: FlipcNodeId,
         registry: Arc<WaitRegistry>,
         index_base: u16,
     ) -> Flipc {
+        assert!(
+            usize::from(index_base) + usize::from(cb.geometry().endpoints) <= 65_536,
+            "endpoint-index range runs past the u16 index space"
+        );
         Flipc {
             cb,
             node,
@@ -711,5 +720,28 @@ mod tests {
         let addr = f.address(&ep);
         assert_eq!(addr.node(), FlipcNodeId(0));
         f.endpoint_free(ep).unwrap();
+    }
+
+    #[test]
+    fn index_base_may_end_at_the_last_u16_index() {
+        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+        let f = Flipc::attach_at(cb, FlipcNodeId(0), WaitRegistry::new(), 65_528);
+        let alloc = || {
+            f.endpoint_allocate(EndpointType::Receive, Importance::Normal)
+                .unwrap()
+        };
+        for _ in 0..7 {
+            alloc();
+        }
+        let last = alloc();
+        assert_eq!(last.index(), EndpointIndex(7));
+        assert_eq!(f.address(&last).index(), EndpointIndex(65_535));
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the u16 index space")]
+    fn index_base_past_the_u16_index_space_is_rejected() {
+        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+        let _ = Flipc::attach_at(cb, FlipcNodeId(0), WaitRegistry::new(), 65_530);
     }
 }

@@ -8,9 +8,10 @@
 //! a scan. The scan start rotates so that a busy member cannot starve the
 //! others.
 //!
-//! The blocking variant registers one wait cell on every member endpoint;
-//! the engine's delivery wake on any member releases the thread, which is
-//! then presented to the scheduler (the real-time semaphore option).
+//! The blocking variant registers one wait cell on every member endpoint
+//! in the node's wait registry ([`crate::wait`]); the engine's delivery
+//! wake on any member releases the thread, which is then presented to the
+//! scheduler.
 
 use std::time::Duration;
 

@@ -9,8 +9,9 @@
 //! count in the endpoint record tells the engine a wakeup is wanted, and
 //! the engine posts the wake through this registry (standing in for the
 //! kernel). The awakened thread is then *presented to the scheduler* — in
-//! the host implementation that is the OS scheduler; the real-time
-//! semaphore in `flipc-rt` adds priority ordering on top.
+//! the host implementation that is the OS scheduler. This registry is the
+//! paper's real-time semaphore option on the host; a wake signals every
+//! waiter on the endpoint, in no importance order.
 //!
 //! Everything here is off the fast path: polling receives never touch it.
 

@@ -250,18 +250,23 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if any buffer is uninitialized or domain index ranges
-    /// overlap.
+    /// Panics if any buffer is uninitialized, a domain's index range runs
+    /// past the last node-global endpoint index (65,535), or domain index
+    /// ranges overlap.
     pub fn new_multi(
         domains: Vec<Domain>,
         transport: Box<dyn Transport>,
         cfg: EngineConfig,
     ) -> Engine {
         assert!(!domains.is_empty(), "engine needs at least one domain");
+        let end = |d: &Domain| usize::from(d.index_base) + usize::from(d.endpoints());
         for d in &domains {
             assert!(d.cb.magic_ok(), "communication buffer not initialized");
+            assert!(
+                end(d) <= 65_536,
+                "endpoint-index range runs past the u16 index space"
+            );
         }
-        let end = |d: &Domain| usize::from(d.index_base) + usize::from(d.endpoints());
         for (i, a) in domains.iter().enumerate() {
             for b in domains.iter().skip(i + 1) {
                 assert!(

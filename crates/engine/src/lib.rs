@@ -17,7 +17,6 @@
 //! The KKT RPC-per-message transport (the paper's development platform)
 //! lives in the `flipc-kkt` crate.
 
-pub mod bus;
 pub mod engine;
 pub mod loopback;
 pub mod node;
@@ -27,7 +26,6 @@ pub mod thread;
 pub mod transport;
 pub mod wire;
 
-pub use bus::{bus_fabric, BusPort};
 pub use engine::{Domain, Engine, EngineConfig, EngineStats};
 pub use loopback::{fabric, LoopbackPort};
 pub use node::{InlineCluster, NodeCore, ThreadedCluster};

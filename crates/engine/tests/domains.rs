@@ -262,3 +262,19 @@ fn overlapping_domain_ranges_are_rejected() {
         EngineConfig::default(),
     );
 }
+
+#[test]
+#[should_panic(expected = "runs past the u16 index space")]
+fn domain_range_past_the_u16_index_space_is_rejected() {
+    let mut ports = fabric(1, 4).into_iter();
+    let _ = Engine::new_multi(
+        vec![Domain {
+            cb: Arc::new(CommBuffer::new(Geometry::small()).unwrap()),
+            registry: WaitRegistry::new(),
+            index_base: 65_530, // slots 65,530..65,538: the last two wrap
+            allowed_destinations: None,
+        }],
+        Box::new(ports.next().unwrap()),
+        EngineConfig::default(),
+    );
+}

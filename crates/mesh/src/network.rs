@@ -10,7 +10,7 @@
 //!
 //! The model is a state machine over simulated time rather than an event
 //! generator: callers pass the current [`SimTime`] and receive the arrival
-//! time, then schedule their own delivery events on their executor.
+//! time, which they fold into their own timelines.
 
 use std::collections::HashMap;
 

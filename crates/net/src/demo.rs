@@ -8,9 +8,8 @@
 //! bound port and packed inbox address; the client embeds its own inbox
 //! address in each ping's payload so the server knows where to pong.
 //!
-//! This module is shared by `examples/net_pingpong.rs`, the crate's
-//! `net_pingpong` bin (which the two-process smoke test spawns), and any
-//! future multi-node demos. [`loopback_udp_pair`] is the same bootstrap
+//! The crate's `net_pingpong` bin is this module's CLI (the two-process
+//! smoke test spawns it). [`loopback_udp_pair`] is the same bootstrap
 //! inside one process, the node-pair fixture of `flipc-top --udp` and of
 //! flipc-obs's cross-node merge test.
 
@@ -252,7 +251,7 @@ pub fn run_client(
     Ok(mean_rtt)
 }
 
-/// Command-line front end shared by the example and the bin target.
+/// Command-line front end of the crate's `net_pingpong` bin.
 ///
 /// ```text
 /// net_pingpong --server [--port P] [--rounds N]

@@ -57,7 +57,7 @@
 //! | `flipc_workload_acked_total` | counter | `workload`, `node` |
 //! | `flipc_workload_invariant_violations_total` | counter | `workload`, `node` |
 //! | `flipc_workload_backlog` | gauge | `workload`, `node` |
-//! | `flipc_workload_latency_ns` | histogram | `workload`, `node`, `class` |
+//! | `flipc_workload_latency_us` | histogram | `workload`, `node`, `class` |
 //!
 //! The HTTP side understands exactly two paths: anything (the metrics
 //! page) and `/healthz` (a constant `ok` liveness probe), and speaks
@@ -515,8 +515,8 @@ pub fn expose_workload(expo: &mut Exposition, snap: &WorkloadSnapshot) {
             ("class", c.class.clone()),
         ];
         expo.histogram(
-            "flipc_workload_latency_ns",
-            "Workload send-to-deliver latency per traffic class, nanoseconds.",
+            "flipc_workload_latency_us",
+            "Workload send-to-deliver latency per traffic class, simulated microseconds (manual-clock ticks).",
             &class_labels,
             &c.latency,
         );
@@ -1146,7 +1146,7 @@ mod tests {
             "flipc_workload_acked_total{workload=\"broadcast\",node=\"2\"} 28",
             "flipc_workload_invariant_violations_total{workload=\"broadcast\",node=\"2\"} 0",
             "flipc_workload_backlog{workload=\"broadcast\",node=\"2\"} 2",
-            "flipc_workload_latency_ns_count{workload=\"broadcast\",node=\"2\",class=\"topic0\"} 7",
+            "flipc_workload_latency_us_count{workload=\"broadcast\",node=\"2\",class=\"topic0\"} 7",
         ] {
             assert!(page.contains(needle), "missing {needle:?} in:\n{page}");
         }

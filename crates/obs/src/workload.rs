@@ -21,9 +21,9 @@ use crate::json::Value;
 pub struct WorkloadClass {
     /// Stable class label (`"high"`, `"bulk"`, `"topic3"`, …).
     pub class: String,
-    /// Send→deliver latency distribution, in the workload's own time
-    /// unit (nanoseconds for wall-clock harnesses, manual-clock ticks —
-    /// simulated microseconds — for deterministic ones).
+    /// Send→deliver latency distribution in manual-clock ticks
+    /// (simulated microseconds): every workload harness runs on a
+    /// deterministic cluster's manual clock.
     pub latency: HistogramSnapshot,
 }
 

@@ -236,13 +236,13 @@ flipc_workload_invariant_violations_total{workload=\"tiers\",node=\"1\"} 0
 # HELP flipc_workload_backlog Messages accepted but not yet deliverable (buffers, outboxes, queues).
 # TYPE flipc_workload_backlog gauge
 flipc_workload_backlog{workload=\"tiers\",node=\"1\"} 4
-# HELP flipc_workload_latency_ns Workload send-to-deliver latency per traffic class, nanoseconds.
-# TYPE flipc_workload_latency_ns histogram
-flipc_workload_latency_ns_bucket{workload=\"tiers\",node=\"1\",class=\"high\",le=\"1023\"} 1
-flipc_workload_latency_ns_bucket{workload=\"tiers\",node=\"1\",class=\"high\",le=\"4095\"} 2
-flipc_workload_latency_ns_bucket{workload=\"tiers\",node=\"1\",class=\"high\",le=\"+Inf\"} 2
-flipc_workload_latency_ns_sum{workload=\"tiers\",node=\"1\",class=\"high\"} 4900
-flipc_workload_latency_ns_count{workload=\"tiers\",node=\"1\",class=\"high\"} 2
+# HELP flipc_workload_latency_us Workload send-to-deliver latency per traffic class, simulated microseconds (manual-clock ticks).
+# TYPE flipc_workload_latency_us histogram
+flipc_workload_latency_us_bucket{workload=\"tiers\",node=\"1\",class=\"high\",le=\"1023\"} 1
+flipc_workload_latency_us_bucket{workload=\"tiers\",node=\"1\",class=\"high\",le=\"4095\"} 2
+flipc_workload_latency_us_bucket{workload=\"tiers\",node=\"1\",class=\"high\",le=\"+Inf\"} 2
+flipc_workload_latency_us_sum{workload=\"tiers\",node=\"1\",class=\"high\"} 4900
+flipc_workload_latency_us_count{workload=\"tiers\",node=\"1\",class=\"high\"} 2
 ";
     let got = page();
     assert_eq!(
