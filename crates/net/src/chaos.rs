@@ -936,7 +936,8 @@ impl Scenario {
     }
 
     /// One pump of every live node: retry pending sends, drain
-    /// deliveries, log liveness / resync transitions, check ordering.
+    /// deliveries, log liveness / resync transitions, check ordering, and
+    /// end the node's turn with the batch-boundary `flush`.
     fn drive(
         nodes: &mut [NodeState],
         now: u64,
@@ -1002,6 +1003,11 @@ impl Scenario {
                 transcript.push(format!("t={now} node {i}: epoch resync #{resyncs}"));
                 nodes[i].resyncs_seen = resyncs;
             }
+            // End the turn as the engine ends a pass, so the stories run
+            // the paced path production runs: an ack owed for one frame
+            // waits a turn to ride reverse data, and each turn polls the
+            // link once.
+            transport.flush();
             nodes[i].transport = Some(transport);
         }
     }

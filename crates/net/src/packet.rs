@@ -7,25 +7,41 @@
 //! and the sender's *session epoch*, and adds packet kinds for cumulative
 //! acknowledgements and idle-path heartbeats.
 //!
-//! Layout (little-endian), version 5:
+//! Layout (little-endian), version 6:
 //!
 //! ```text
 //! magic:   u16  0xF11C
-//! version: u8   5
-//! kind:    u8   1 = Data, 2 = Ack, 3 = Ping, 4 = Batch, 5 = Pong
+//! version: u8   6
+//! kind:    u8   1 = Data, 2 = Ack, 3 = Ping, 4 = Batch, 5 = Pong,
+//!               6 = Batch with an ack block
 //! src:     u16  FLIPC node id of the sender
 //! len:     u16  Data: byte length of the embedded frame
 //!               Ack: epoch of the data being acknowledged
 //!               Ping: 8 (the t1 timestamp payload)
 //!               Batch: byte length of the sub-frame region
 //!               Pong: 32 (the t1/t2/t3 timestamp payload + credit)
+//!               Batch with ack: byte length of the ack block plus the
+//!               sub-frame region
 //! seq:     u32  Data: path sequence number (first frame is 1)
 //!               Ack: cumulative ack — highest in-order sequence received
 //!               Ping / Pong: 0
-//!               Batch: sequence number of the first sub-frame
+//!               Batch (either kind): sequence number of the first
+//!               sub-frame
 //! epoch:   u16  the sender's current session epoch on this path
 //! check:   u32  CRC32C of the whole datagram with this field zeroed
 //! ```
+//!
+//! Version 6 lets an acknowledgement ride the reverse data instead of
+//! costing a datagram of its own. Kind 6 is a Batch whose header is
+//! followed by a 14-byte [`AckBlock`] — the cumulative ack (`u32`), the
+//! acked epoch (`u16`), the credit grant (`u32`) and the receive-drop
+//! counter (`u32`), the same fields an Ack carries — and then the
+//! sub-frames. The receiver applies the block exactly as it applies an
+//! Ack. Data and kind-4 Batch datagrams keep their version-5 layout byte
+//! for byte, so data-only traffic pays zero extra bytes. The block never
+//! enters a Data datagram: those bytes are sealed once into the
+//! retransmit ring and resent verbatim, and a resent grant or drop
+//! counter would be stale.
 //!
 //! Version 5 replaced the byte-at-a-time Fowler-Noll-Vo hash with CRC32C
 //! (Castagnoli) as the checksum, with the same field and the same
@@ -41,7 +57,8 @@
 //! (`u32`, wrapping — the congestion signal the sender reacts to; see
 //! [`crate::reliability::CreditGrantor`]). As with the clock-sync
 //! stamps, the extension deliberately rides the control datagrams only:
-//! Data and Batch — the hot path — pay zero extra bytes.
+//! Data and Batch — the hot path — pay zero extra bytes unless an ack
+//! rides (version 6).
 //!
 //! Version 3 turns the idle-path heartbeat into an NTP-style
 //! four-timestamp clock-sync exchange: a Ping carries the pinger's send
@@ -97,10 +114,10 @@ pub const MAGIC: u16 = 0xF11C;
 /// Wire protocol version this build speaks (2 added the session epoch and
 /// the Ping heartbeat kind; 3 added the clock-sync timestamps on
 /// Ping/Pong; 4 added the credit-window extension on Ack/Pong; 5 replaced
-/// the Fowler-Noll-Vo checksum with CRC32C). Mixed versions on one path
-/// reject each other's datagrams — both ends upgrade together, as with any
-/// header change.
-pub const VERSION: u8 = 5;
+/// the Fowler-Noll-Vo checksum with CRC32C; 6 added the Batch kind that
+/// carries an ack block). Mixed versions on one path reject each other's
+/// datagrams — both ends upgrade together, as with any header change.
+pub const VERSION: u8 = 6;
 /// Byte length of a Ping's timestamp payload (`t1`).
 pub const PING_BODY: usize = 8;
 /// Byte length of an Ack's credit-extension payload (`credit`,
@@ -109,6 +126,9 @@ pub const ACK_BODY: usize = 8;
 /// Byte length of a Pong's payload (`t1`, `t2`, `t3`, `credit`,
 /// `recv_drops`).
 pub const PONG_BODY: usize = 32;
+/// Byte length of the [`AckBlock`] a kind-6 Batch carries before its
+/// sub-frames.
+pub const ACK_BLOCK: usize = 14;
 /// Byte length of the packet header.
 pub const HEADER_LEN: usize = 18;
 /// Byte offset of the checksum field within the header.
@@ -170,7 +190,9 @@ pub enum Packet {
         /// The pinger's trace-clock send stamp (nanoseconds).
         t1: u64,
     },
-    /// Several consecutive Data frames coalesced into one jumbo datagram.
+    /// Several consecutive Data frames coalesced into one jumbo datagram
+    /// (kind 4), or one or more with an acknowledgement riding ahead of
+    /// them (kind 6).
     Batch {
         /// Sending node.
         src: FlipcNodeId,
@@ -179,6 +201,9 @@ pub enum Packet {
         first_seq: u32,
         /// The sender's session epoch on this path.
         epoch: u16,
+        /// The acknowledgement for the path `us -> src` that rode this
+        /// datagram (kind 6), or `None` (kind 4).
+        ack: Option<AckBlock>,
         /// The coalesced engine frames, in sequence order.
         frames: Vec<Frame>,
     },
@@ -204,6 +229,44 @@ pub enum Packet {
         /// The replying node's cumulative receive-side drop counter.
         recv_drops: u32,
     },
+}
+
+/// A cumulative acknowledgement with its credit advertisement: the body
+/// of an Ack, and the block a kind-6 Batch carries ahead of its
+/// sub-frames.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AckBlock {
+    /// Highest sequence number received in order (0 = nothing yet).
+    pub cumulative: u32,
+    /// Epoch of the data stream being acknowledged (the receiver of the
+    /// block ignores the cumulative ack unless this is its current
+    /// epoch).
+    pub acked_epoch: u16,
+    /// Credit window granted by the acknowledging node.
+    pub credit: u32,
+    /// The acknowledging node's cumulative receive-side drop counter
+    /// (wrapping).
+    pub recv_drops: u32,
+}
+
+impl AckBlock {
+    fn encode(&self) -> [u8; ACK_BLOCK] {
+        let mut b = [0u8; ACK_BLOCK];
+        b[0..4].copy_from_slice(&self.cumulative.to_le_bytes());
+        b[4..6].copy_from_slice(&self.acked_epoch.to_le_bytes());
+        b[6..10].copy_from_slice(&self.credit.to_le_bytes());
+        b[10..14].copy_from_slice(&self.recv_drops.to_le_bytes());
+        b
+    }
+
+    fn decode(b: &[u8]) -> Option<AckBlock> {
+        Some(AckBlock {
+            cumulative: u32::from_le_bytes(b.get(0..4)?.try_into().ok()?),
+            acked_epoch: u16::from_le_bytes(b.get(4..6)?.try_into().ok()?),
+            credit: u32::from_le_bytes(b.get(6..10)?.try_into().ok()?),
+            recv_drops: u32::from_le_bytes(b.get(10..14)?.try_into().ok()?),
+        })
+    }
 }
 
 fn header(kind: u8, src: FlipcNodeId, len: u16, seq: u32, epoch: u16) -> [u8; HEADER_LEN] {
@@ -356,11 +419,13 @@ pub fn encode_data(src: FlipcNodeId, seq: u32, epoch: u16, frame: &Frame) -> Opt
 /// The builder owns one reusable buffer: pushes append in place, and
 /// [`BatchBuilder::finish`] seals the header + checksum without
 /// allocating, so the steady-state coalesce path stays allocation-free
-/// after warmup. Callers stage [`Frame::encode`] bytes (the body of the
-/// equivalent Data datagram) with the sequence the reliability layer
-/// assigned; the builder refuses — leaving its state untouched — any
-/// push that would cross the MTU bound or break sequence contiguity,
-/// which is the caller's cue to flush first.
+/// after warmup. An ack block, when one rides, is inserted in front of
+/// the sub-frames only if the result still fits the MTU, so the buffer
+/// never grows past its first capacity. Callers stage [`Frame::encode`]
+/// bytes (the body of the equivalent Data datagram) with the sequence
+/// the reliability layer assigned; the builder refuses — leaving its
+/// state untouched — any push that would cross the MTU bound or break
+/// sequence contiguity, which is the caller's cue to flush first.
 #[derive(Debug)]
 pub struct BatchBuilder {
     /// Largest datagram this builder will assemble (header included).
@@ -412,6 +477,12 @@ impl BatchBuilder {
         self.buf.len() + SUBFRAME_PREFIX + encoded_len <= self.mtu
     }
 
+    /// True if an [`AckBlock`] could ride the staged sub-frames without
+    /// crossing the MTU bound.
+    pub fn fits_ack(&self) -> bool {
+        self.buf.len() + ACK_BLOCK <= self.mtu
+    }
+
     /// Stages the pre-encoded frame carrying sequence `seq`. Returns
     /// `false` — with the builder unchanged — when the frame would cross
     /// the MTU bound, would break sequence contiguity, or is too long for
@@ -434,23 +505,38 @@ impl BatchBuilder {
     }
 
     /// Seals the staged sub-frames into one Batch datagram and returns
-    /// its bytes (`None` when nothing is staged). The caller transmits
-    /// the slice and then calls [`BatchBuilder::clear`]; the buffer is
-    /// reused for the next batch.
-    pub fn finish(&mut self, src: FlipcNodeId, epoch: u16) -> Option<&[u8]> {
-        if self.count == 0 {
+    /// its bytes: kind 4, or kind 6 with `ack` ahead of the sub-frames.
+    /// Returns `None` when nothing is staged, or when `ack` would not
+    /// fit ([`BatchBuilder::fits_ack`]). The caller transmits the slice
+    /// and then calls [`BatchBuilder::clear`]; the buffer is reused for
+    /// the next batch.
+    pub fn finish(&mut self, src: FlipcNodeId, epoch: u16, ack: Option<AckBlock>) -> Option<&[u8]> {
+        if self.count == 0 || (ack.is_some() && !self.fits_ack()) {
             return None;
         }
+        let kind = match ack {
+            None => 4,
+            Some(a) => {
+                // Shift the sub-frames up and write the block into the
+                // gap; `fits_ack` keeps this within the capacity.
+                let end = self.buf.len();
+                self.buf.resize(end + ACK_BLOCK, 0);
+                self.buf
+                    .copy_within(HEADER_LEN..end, HEADER_LEN + ACK_BLOCK);
+                self.buf[HEADER_LEN..HEADER_LEN + ACK_BLOCK].copy_from_slice(&a.encode());
+                6
+            }
+        };
         let body_len = (self.buf.len() - HEADER_LEN) as u16;
-        let h = header(4, src, body_len, self.first_seq, epoch);
+        let h = header(kind, src, body_len, self.first_seq, epoch);
         self.buf[..HEADER_LEN].copy_from_slice(&h);
         seal(&mut self.buf);
         Some(&self.buf)
     }
 
-    /// Discards the staged sub-frames, keeping the buffer's capacity.
-    /// `finish` rewrites the whole header, so the stale one needs no
-    /// scrubbing.
+    /// Discards the staged sub-frames (and any ack block `finish`
+    /// inserted), keeping the buffer's capacity. `finish` rewrites the
+    /// whole header, so the stale one needs no scrubbing.
     pub fn clear(&mut self) {
         self.buf.truncate(HEADER_LEN);
         self.count = 0;
@@ -510,6 +596,21 @@ pub fn encode_pong(
     out
 }
 
+/// Splits a Batch's sub-frame region into its frames: `None` when a
+/// length prefix runs past the region, a frame does not decode, or the
+/// region holds no frame at all.
+fn decode_subframes(mut region: &[u8]) -> Option<Vec<Frame>> {
+    let mut frames = Vec::new();
+    while !region.is_empty() {
+        let prefix = region.get(..SUBFRAME_PREFIX)?;
+        let flen = usize::from(u16::from_le_bytes(prefix.try_into().ok()?));
+        let frame = region.get(SUBFRAME_PREFIX..SUBFRAME_PREFIX + flen)?;
+        frames.push(Frame::decode(frame)?);
+        region = &region[SUBFRAME_PREFIX + flen..];
+    }
+    (!frames.is_empty()).then_some(frames)
+}
+
 /// Decodes one datagram. Returns `None` for anything that is not a
 /// well-formed `flipc-net` packet: short datagrams, wrong magic or
 /// version, a failed checksum, unknown kind, or a length field that
@@ -567,33 +668,22 @@ pub fn decode(bytes: &[u8]) -> Option<Packet> {
             let t1 = u64::from_le_bytes(bytes[HEADER_LEN..HEADER_LEN + 8].try_into().ok()?);
             Some(Packet::Ping { src, epoch, t1 })
         }
-        4 => {
+        4 | 6 => {
             if bytes.len() - HEADER_LEN != len as usize {
                 return None;
             }
-            let mut frames = Vec::new();
-            let mut off = HEADER_LEN;
-            while off < bytes.len() {
-                if off + SUBFRAME_PREFIX > bytes.len() {
-                    return None;
-                }
-                let flen =
-                    u16::from_le_bytes(bytes[off..off + SUBFRAME_PREFIX].try_into().ok()?) as usize;
-                let end = off + SUBFRAME_PREFIX + flen;
-                if end > bytes.len() {
-                    return None;
-                }
-                frames.push(Frame::decode(&bytes[off + SUBFRAME_PREFIX..end])?);
-                off = end;
-            }
-            if frames.is_empty() {
-                return None;
-            }
+            let (ack, sub) = if kind == 6 {
+                let block = bytes.get(HEADER_LEN..HEADER_LEN + ACK_BLOCK)?;
+                (Some(AckBlock::decode(block)?), HEADER_LEN + ACK_BLOCK)
+            } else {
+                (None, HEADER_LEN)
+            };
             Some(Packet::Batch {
                 src,
                 first_seq: seq,
                 epoch,
-                frames,
+                ack,
+                frames: decode_subframes(&bytes[sub..])?,
             })
         }
         5 => {
@@ -708,12 +798,13 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(decode(&bad).is_none());
         // Wrong version — including the epoch-less version 1, the
-        // clock-sync-less version 2, the credit-less version 3, and the
-        // Fowler-Noll-Vo-checked version 4.
+        // clock-sync-less version 2, the credit-less version 3, the
+        // Fowler-Noll-Vo-checked version 4, and version 5, which has no
+        // ack-carrying Batch.
         let mut bad = good.clone();
         bad[2] = VERSION + 1;
         assert!(decode(&bad).is_none());
-        for old in [1u8, 2, 3, 4] {
+        for old in [1u8, 2, 3, 4, 5] {
             let mut bad = good.clone();
             bad[2] = old;
             assert!(decode(&bad).is_none());
@@ -807,7 +898,7 @@ mod tests {
             };
             assert!(b.push(seq, &f.encode()));
         }
-        let mut bytes = b.finish(FlipcNodeId(3), 2).unwrap().to_vec();
+        let mut bytes = b.finish(FlipcNodeId(3), 2, None).unwrap().to_vec();
         assert_eq!(bytes.len(), BATCH_MTU);
         assert!(decode(&bytes).is_some(), "the unmodified batch decodes");
         for bit in 0..BATCH_MTU * 8 {
@@ -862,7 +953,7 @@ mod tests {
         for (i, f) in frames.iter().enumerate() {
             assert!(b.push(first_seq.wrapping_add(i as u32), &f.encode()));
         }
-        let out = b.finish(FlipcNodeId(3), epoch).unwrap().to_vec();
+        let out = b.finish(FlipcNodeId(3), epoch, None).unwrap().to_vec();
         b.clear();
         out
     }
@@ -877,6 +968,7 @@ mod tests {
                 src: FlipcNodeId(3),
                 first_seq: 42,
                 epoch: 5,
+                ack: None,
                 frames,
             }
         );
@@ -886,11 +978,11 @@ mod tests {
     fn batch_builder_is_reusable_after_clear() {
         let mut b = BatchBuilder::new(1_400);
         assert!(b.push(1, &frame(1).encode()));
-        assert!(b.finish(FlipcNodeId(0), 1).is_some());
+        assert!(b.finish(FlipcNodeId(0), 1, None).is_some());
         b.clear();
         assert_eq!(b.count(), 0);
         assert!(b.push(7, &frame(9).encode()));
-        let bytes = b.finish(FlipcNodeId(0), 2).unwrap().to_vec();
+        let bytes = b.finish(FlipcNodeId(0), 2, None).unwrap().to_vec();
         match decode(&bytes).unwrap() {
             Packet::Batch {
                 first_seq, frames, ..
@@ -913,7 +1005,7 @@ mod tests {
         assert!(b.push(11, &frame(2).encode()));
         assert!(!b.push(12, &frame(3).encode()), "third frame crosses MTU");
         assert_eq!(b.count(), 2);
-        let sealed = b.finish(FlipcNodeId(0), 1).unwrap();
+        let sealed = b.finish(FlipcNodeId(0), 1, None).unwrap();
         assert!(sealed.len() <= mtu, "sealed batch respects the MTU bound");
         b.clear();
         // A sequence gap is refused: the staged run must stay contiguous.
@@ -925,7 +1017,10 @@ mod tests {
     #[test]
     fn empty_batches_are_rejected() {
         let mut b = BatchBuilder::new(1_400);
-        assert!(b.finish(FlipcNodeId(0), 1).is_none(), "nothing staged");
+        assert!(
+            b.finish(FlipcNodeId(0), 1, None).is_none(),
+            "nothing staged"
+        );
         // A hand-built kind-4 datagram with no sub-frames must not decode.
         let mut bytes = header(4, FlipcNodeId(0), 0, 1, 1).to_vec();
         seal(&mut bytes);
@@ -951,6 +1046,104 @@ mod tests {
         forged[HEADER_LEN..HEADER_LEN + SUBFRAME_PREFIX].copy_from_slice(&u16::MAX.to_le_bytes());
         seal(&mut forged);
         assert!(decode(&forged).is_none());
+    }
+
+    const BLOCK: AckBlock = AckBlock {
+        cumulative: 17,
+        acked_epoch: 11,
+        credit: 32,
+        recv_drops: u32::MAX - 1,
+    };
+
+    #[test]
+    fn batch_with_an_ack_block_roundtrips() {
+        // A lone frame and a run of three: the block rides both.
+        for frames in [vec![frame(1)], vec![frame(1), frame(2), frame(3)]] {
+            let mut b = BatchBuilder::new(BATCH_MTU);
+            for (i, f) in frames.iter().enumerate() {
+                assert!(b.push(42 + i as u32, &f.encode()));
+            }
+            let bytes = b.finish(FlipcNodeId(3), 5, Some(BLOCK)).unwrap().to_vec();
+            assert_eq!(bytes[3], 6, "kind 6");
+            let region: usize = frames.iter().map(|f| SUBFRAME_PREFIX + f.wire_len()).sum();
+            assert_eq!(bytes.len(), HEADER_LEN + ACK_BLOCK + region);
+            assert_eq!(
+                decode(&bytes).unwrap(),
+                Packet::Batch {
+                    src: FlipcNodeId(3),
+                    first_seq: 42,
+                    epoch: 5,
+                    ack: Some(BLOCK),
+                    frames,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn the_ack_block_rides_only_when_it_fits_the_mtu() {
+        // One 74-byte sub-frame; an MTU with 13 bytes to spare cannot
+        // take the 14-byte block, one with 14 can.
+        let sub = SUBFRAME_PREFIX + frame(1).wire_len();
+        let mut tight = BatchBuilder::new(HEADER_LEN + sub + ACK_BLOCK - 1);
+        assert!(tight.push(1, &frame(1).encode()));
+        assert!(!tight.fits_ack());
+        assert!(tight.finish(FlipcNodeId(3), 1, Some(BLOCK)).is_none());
+        // Refused whole: the staged frame still seals as a kind-4 batch.
+        let plain = tight.finish(FlipcNodeId(3), 1, None).unwrap().to_vec();
+        assert_eq!(plain, batch_of(1, 1, &[frame(1)]));
+        let mut exact = BatchBuilder::new(HEADER_LEN + sub + ACK_BLOCK);
+        assert!(exact.push(1, &frame(1).encode()));
+        assert!(exact.fits_ack());
+        let sealed = exact.finish(FlipcNodeId(3), 1, Some(BLOCK)).unwrap();
+        assert_eq!(sealed.len(), HEADER_LEN + sub + ACK_BLOCK);
+        // `clear` drops the block with the frames.
+        exact.clear();
+        assert!(exact.push(2, &frame(2).encode()));
+        let bytes = exact.finish(FlipcNodeId(3), 1, None).unwrap().to_vec();
+        assert_eq!(bytes, batch_of(2, 1, &[frame(2)]));
+    }
+
+    #[test]
+    fn a_sealed_version_5_datagram_is_rejected() {
+        // Re-sealed, so only the version check can reject it.
+        for mut bytes in [
+            encode_data(FlipcNodeId(1), 1, 1, &frame(1)).unwrap(),
+            encode_ack(FlipcNodeId(1), 1, 1, 1, 8, 0),
+            batch_of(1, 1, &[frame(1), frame(2)]),
+        ] {
+            bytes[2] = 5;
+            seal(&mut bytes);
+            assert!(decode(&bytes).is_none());
+        }
+    }
+
+    #[test]
+    fn a_kind_6_batch_shorter_than_its_block_is_rejected() {
+        // `len` agrees with the datagram but leaves no room for the block.
+        for short in [0, 1, ACK_BLOCK - 1] {
+            let mut bytes = header(6, FlipcNodeId(0), short as u16, 1, 1).to_vec();
+            bytes.resize(HEADER_LEN + short, 0);
+            seal(&mut bytes);
+            assert!(decode(&bytes).is_none(), "len {short}");
+        }
+        // A block with no sub-frame behind it is malformed too.
+        let mut bytes = header(6, FlipcNodeId(0), ACK_BLOCK as u16, 1, 1).to_vec();
+        bytes.extend_from_slice(&BLOCK.encode());
+        seal(&mut bytes);
+        assert!(decode(&bytes).is_none());
+    }
+
+    #[test]
+    fn any_single_byte_flip_of_a_kind_6_batch_is_rejected() {
+        let mut b = BatchBuilder::new(BATCH_MTU);
+        assert!(b.push(9, &frame(4).encode()));
+        let good = b.finish(FlipcNodeId(1), 2, Some(BLOCK)).unwrap().to_vec();
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0xFF;
+            assert!(decode(&bad).is_none(), "flip of byte {i} must reject");
+        }
     }
 
     #[test]

@@ -16,9 +16,22 @@
 //!   retries without losing the frame — so the reliability layer is
 //!   *bounded memory* by construction and can never block the event loop.
 //! * `try_recv` drains a bounded burst of datagrams, applies the
-//!   reliability state machine, coalesces one cumulative ack per peer that
-//!   sent data, services retransmit timers and idle heartbeats, and hands
-//!   the engine the next in-order frame.
+//!   reliability state machine, services retransmit timers and idle
+//!   heartbeats, and hands the engine the next in-order frame. A caller
+//!   that ends its passes with `flush`, as the engine does, has the link
+//!   polled at most once per pass: once a poll has handed out a frame,
+//!   the `try_recv` that finds nothing queued returns without another
+//!   `recvfrom`.
+//!
+//! Acknowledgement is cumulative, one ack per peer, and stays off the
+//! request/response path (wire v6, see [`crate::packet`]). An ack owed
+//! for two or more frames, or to a Ping, leaves as a standalone Ack at
+//! the end of the pump that received them. An ack owed for a single frame
+//! waits up to one pass for reverse data: the `flush` that puts a frame
+//! to that peer on the wire sends it as a kind-6 Batch carrying the ack
+//! block, and if no frame leaves by the end of the next pass the ack goes
+//! standalone. Either carrier is one AIMD round of the credit grantor. A
+//! caller that never flushes gets every ack at the end of its pump.
 //!
 //! Layered on the reliability machinery is the *peer lifecycle* (see
 //! `DESIGN.md` §3.4.2):
@@ -62,7 +75,7 @@ use flipc_engine::wire::Frame;
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::link::Link;
-use crate::packet::{self, BatchBuilder, Packet, BATCH_MTU, HEADER_LEN, MAX_DATAGRAM};
+use crate::packet::{self, AckBlock, BatchBuilder, Packet, BATCH_MTU, HEADER_LEN, MAX_DATAGRAM};
 use crate::peers::NodeMap;
 use crate::reliability::{
     epoch_newer, ClockSync, CreditGrantor, DrrArbiter, LivenessTracker, NetConfig, ReceiverPath,
@@ -79,8 +92,15 @@ struct PeerState {
     node: FlipcNodeId,
     sender: SenderPath,
     receiver: ReceiverPath,
-    /// Set while a pump owes this peer a cumulative ack.
-    ack_due: bool,
+    /// Data frames received from this peer since an ack last left for
+    /// it (standalone or riding a batch), saturating: the policy only
+    /// tells none, one, and two or more apart.
+    acks_owed: u8,
+    /// Set when a Ping asked for an ack: it leaves at the end of the pump.
+    ack_now: bool,
+    /// Set when an owed ack has outlived one end-of-pass flush: the next
+    /// flush sends it standalone unless a batch to this peer carries it.
+    ack_aged: bool,
     /// Our session epoch on this path: stamped into every outgoing
     /// datagram, bumped whenever we abandon the path (dead declaration or
     /// forced resync) so the peer's receiver restarts cleanly.
@@ -127,6 +147,16 @@ pub struct NetTransport<L: Link, C: Clock = MonotonicClock> {
     stats: Arc<NetStats>,
     /// Reusable datagram receive buffer.
     recv_buf: Box<[u8]>,
+    /// Set by the first [`Transport::flush`]: the caller ends its passes
+    /// the way the engine does, so an ack owed for one frame may wait a
+    /// pass for reverse data to ride, and the link is polled at most once
+    /// per pass. A caller that never flushes keeps an ack at the end of
+    /// every pump and a poll on every empty `try_recv`.
+    paced: bool,
+    /// Set when this pass's poll handed out a frame: the next `try_recv`
+    /// that finds `ready` empty returns `None` without polling the link
+    /// again, until `flush` ends the pass.
+    polled: bool,
 }
 
 impl<L: Link, C: Clock> NetTransport<L, C> {
@@ -166,7 +196,9 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
                     node,
                     sender: SenderPath::new(cfg),
                     receiver: ReceiverPath::new(cfg),
-                    ack_due: false,
+                    acks_owed: 0,
+                    ack_now: false,
+                    ack_aged: false,
                     epoch: cfg.initial_epoch,
                     remote_epoch: None,
                     liveness: LivenessTracker::new(now),
@@ -185,6 +217,8 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
             ready: VecDeque::new(),
             rexmit_since_poll: 0,
             recv_buf: vec![0u8; MAX_DATAGRAM].into_boxed_slice(),
+            paced: false,
+            polled: false,
         }
     }
 
@@ -270,26 +304,34 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
         self.publish_clock(i);
     }
 
-    /// Transmits peer `i`'s staged first transmissions, if any: a lone
-    /// frame as the sealed Data datagram already in the retransmit ring
-    /// (the same bytes, no second checksum), two or more as one Batch. A
-    /// wire refusal is charged per staged frame; the frames stay in the
-    /// retransmit ring and the timers recover them like ordinary loss.
+    /// Transmits peer `i`'s staged first transmissions, if any. An ack
+    /// owed to the peer rides them when its block fits the MTU: the
+    /// staged frames leave as one kind-6 Batch, a lone frame included.
+    /// Otherwise a lone frame leaves as the sealed Data datagram already
+    /// in the retransmit ring (the same bytes, no second checksum), and
+    /// two or more as one Batch. A wire refusal is charged per staged
+    /// frame; the frames stay in the retransmit ring and the timers
+    /// recover them like ordinary loss (a lost ack is re-armed by the
+    /// next arrival, as for a standalone one).
     fn flush_peer(&mut self, i: usize) {
         let count = self.peers[i].batch.count();
         if count == 0 {
             return;
         }
-        let peer = &mut self.peers[i];
-        let bytes = if count == 1 {
-            peer.sender.datagram(peer.batch.first_seq())
-        } else {
+        let ack = (self.peers[i].acks_owed > 0 && self.peers[i].batch.fits_ack())
+            .then(|| self.take_ack(i));
+        if count > 1 {
             self.stats.batch_datagrams.writer().increment();
             for _ in 0..count {
                 self.stats.batch_frames.writer().increment();
             }
             self.stats.batch_size.recorder().record(u64::from(count));
-            peer.batch.finish(self.local, peer.epoch)
+        }
+        let peer = &mut self.peers[i];
+        let bytes = if count == 1 && ack.is_none() {
+            peer.sender.datagram(peer.batch.first_seq())
+        } else {
+            peer.batch.finish(self.local, peer.epoch, ack)
         };
         let sent = bytes.is_some_and(|b| self.link.send(peer.node, b));
         peer.batch.clear();
@@ -305,6 +347,45 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
         for i in 0..self.peers.len() {
             self.flush_peer(i);
         }
+    }
+
+    /// The ack owed to peer `i`, as it leaves: the cumulative ack for the
+    /// peer's current epoch and one AIMD round of the credit grantor
+    /// (halve on fresh receive-side drops, regrow additively on
+    /// productive rounds), whichever datagram carries it. Clears the
+    /// owed state.
+    fn take_ack(&mut self, i: usize) -> AckBlock {
+        let (credit, recv_drops, shrank) = self.peers[i].credit.advertise();
+        if shrank {
+            self.stats.peers[i].credit_shrinks.writer().increment();
+        }
+        let p = &mut self.peers[i];
+        p.acks_owed = 0;
+        p.ack_now = false;
+        p.ack_aged = false;
+        AckBlock {
+            cumulative: p.receiver.cumulative(),
+            acked_epoch: p.remote_epoch.unwrap_or_default(),
+            credit,
+            recv_drops,
+        }
+    }
+
+    /// Sends the ack owed to peer `i` as a standalone Ack datagram. Ack
+    /// loss is harmless: the next data arrival (or retransmission)
+    /// re-arms it, and acks are cumulative.
+    fn send_ack(&mut self, i: usize) {
+        let a = self.take_ack(i);
+        let p = &self.peers[i];
+        let ack = packet::encode_ack(
+            self.local,
+            a.cumulative,
+            p.epoch,
+            a.acked_epoch,
+            a.credit,
+            a.recv_drops,
+        );
+        self.link.send(p.node, &ack);
     }
 
     /// Classifies one arrival's epoch against what we know of peer `i`.
@@ -358,10 +439,65 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
         }
     }
 
+    /// Applies a cumulative ack and credit advertisement from peer `i`,
+    /// whether an Ack datagram or a kind-6 Batch carried it.
+    fn on_ack_block(&mut self, i: usize, now: u64, a: &AckBlock) {
+        // The credit advertisement is current receiver state on the peer,
+        // valid regardless of which of our epochs the cumulative ack
+        // names. A fresh advance of the peer's drop counter clamps the
+        // grant once more (congestion signal beyond the explicit window).
+        if self.peers[i].sender.on_credit(a.credit, a.recv_drops) {
+            self.stats.peers[i].credit_shrinks.writer().increment();
+        }
+        if a.acked_epoch == self.peers[i].epoch {
+            let freed = self.peers[i].sender.on_ack(now, a.cumulative);
+            if freed > 0 {
+                self.peers[i].liveness.on_progress(now);
+                self.stats
+                    .liveness
+                    .set(self.peers[i].node, PeerLiveness::Healthy);
+            }
+        } else {
+            // An ack for a previous incarnation of our send path: applying
+            // it would corrupt the fresh sequence space.
+            self.stats.peers[i].stale_epoch.writer().increment();
+        }
+        self.publish_gauges(i);
+    }
+
+    /// Walks data frames from peer `i`, sequenced from `first_seq`,
+    /// through its reliability/dedup window, and queues what is now in
+    /// order for the engine. Each frame adds to the ack owed.
+    fn on_frames(&mut self, i: usize, first_seq: u32, frames: impl IntoIterator<Item = Frame>) {
+        let peer = &mut self.peers[i];
+        let st = &self.stats.peers[i];
+        for (k, frame) in frames.into_iter().enumerate() {
+            peer.acks_owed = peer.acks_owed.saturating_add(1);
+            let out = peer
+                .receiver
+                .on_data(first_seq.wrapping_add(k as u32), frame);
+            if out.duplicate {
+                st.dup_dropped.writer().increment();
+            }
+            if out.out_of_window {
+                st.out_of_window.writer().increment();
+                peer.credit.on_drop();
+            }
+            if !out.delivered.is_empty() {
+                peer.credit.on_delivered(out.delivered.len() as u32);
+            }
+            for f in out.delivered {
+                st.delivered.writer().increment();
+                self.ready.push_back(f);
+            }
+        }
+    }
+
     /// Drains a bounded burst of datagrams from the link into the
-    /// reliability layer, then emits coalesced acks. Staged send batches
-    /// are flushed first so a raw caller that only polls can never strand
-    /// coalesced frames waiting for an explicit [`Transport::flush`].
+    /// reliability layer, then emits the acks that cannot wait. Staged
+    /// send batches are flushed first so a raw caller that only polls can
+    /// never strand coalesced frames waiting for an explicit
+    /// [`Transport::flush`].
     fn pump(&mut self, now: u64) {
         // Let the link's time-based machinery (the fault injector's
         // token-bucket shaper) refill and release before we drain it.
@@ -371,103 +507,59 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
             let Some(n) = self.link.recv(&mut self.recv_buf) else {
                 break;
             };
-            match packet::decode(&self.recv_buf[..n]) {
-                None => self.stats.decode_errors.writer().increment(),
-                Some(Packet::Data {
-                    src,
-                    seq,
-                    epoch,
-                    frame,
-                }) => {
-                    let Some(i) = self.peer_index(src) else {
-                        self.stats.unknown_peer.writer().increment();
-                        continue;
-                    };
-                    if !self.admit_epoch(i, epoch) {
-                        continue;
-                    }
-                    // A valid packet proves the peer's current address.
-                    self.link.associate(src);
-                    self.heard(i, now);
-                    let peer = &mut self.peers[i];
-                    let out = peer.receiver.on_data(seq, frame);
-                    peer.ack_due = true;
-                    let st = &self.stats.peers[i];
-                    if out.duplicate {
-                        st.dup_dropped.writer().increment();
-                    }
-                    if out.out_of_window {
-                        st.out_of_window.writer().increment();
-                        peer.credit.on_drop();
-                    }
-                    if !out.delivered.is_empty() {
-                        peer.credit.on_delivered(out.delivered.len() as u32);
-                    }
-                    for f in out.delivered {
-                        st.delivered.writer().increment();
-                        self.ready.push_back(f);
-                    }
+            let Some(pkt) = packet::decode(&self.recv_buf[..n]) else {
+                self.stats.decode_errors.writer().increment();
+                continue;
+            };
+            let (src, epoch) = match &pkt {
+                Packet::Data { src, epoch, .. }
+                | Packet::Ack { src, epoch, .. }
+                | Packet::Ping { src, epoch, .. }
+                | Packet::Batch { src, epoch, .. }
+                | Packet::Pong { src, epoch, .. } => (*src, *epoch),
+            };
+            // Clock-sync arrival stamp (t2 of a ping, t4 of a pong), taken
+            // before any processing so work done in this pump does not
+            // inflate the apparent one-way delay.
+            let arrival = match pkt {
+                Packet::Ping { .. } | Packet::Pong { .. } => self.clock.wall_ns(),
+                _ => 0,
+            };
+            let Some(i) = self.peer_index(src) else {
+                self.stats.unknown_peer.writer().increment();
+                continue;
+            };
+            if !self.admit_epoch(i, epoch) {
+                continue;
+            }
+            // A valid packet proves the peer's current address.
+            self.link.associate(src);
+            self.heard(i, now);
+            match pkt {
+                Packet::Data { seq, frame, .. } => {
+                    self.on_frames(i, seq, std::iter::once(frame));
                 }
-                Some(Packet::Ack {
-                    src,
+                Packet::Ack {
                     cumulative,
-                    epoch,
                     acked_epoch,
                     credit,
                     recv_drops,
-                }) => {
-                    let Some(i) = self.peer_index(src) else {
-                        self.stats.unknown_peer.writer().increment();
-                        continue;
+                    ..
+                } => {
+                    let a = AckBlock {
+                        cumulative,
+                        acked_epoch,
+                        credit,
+                        recv_drops,
                     };
-                    if !self.admit_epoch(i, epoch) {
-                        continue;
-                    }
-                    self.link.associate(src);
-                    self.heard(i, now);
-                    // The credit advertisement is current receiver state on
-                    // the peer, valid regardless of which of our epochs the
-                    // cumulative ack names. A fresh advance of the peer's
-                    // drop counter clamps the grant once more (congestion
-                    // signal beyond the explicit window).
-                    if self.peers[i].sender.on_credit(credit, recv_drops) {
-                        self.stats.peers[i].credit_shrinks.writer().increment();
-                    }
-                    if acked_epoch == self.peers[i].epoch {
-                        let freed = self.peers[i].sender.on_ack(now, cumulative);
-                        if freed > 0 {
-                            self.peers[i].liveness.on_progress(now);
-                            self.stats
-                                .liveness
-                                .set(self.peers[i].node, PeerLiveness::Healthy);
-                        }
-                    } else {
-                        // An ack for a previous incarnation of our send
-                        // path: applying it would corrupt the fresh
-                        // sequence space.
-                        self.stats.peers[i].stale_epoch.writer().increment();
-                    }
-                    self.publish_gauges(i);
+                    self.on_ack_block(i, now, &a);
                 }
-                Some(Packet::Ping { src, epoch, t1 }) => {
-                    // Receive stamp for the clock-sync exchange, taken
-                    // before any processing so work done in this pump does
-                    // not inflate the apparent one-way delay.
-                    let t2 = self.clock.wall_ns();
-                    let Some(i) = self.peer_index(src) else {
-                        self.stats.unknown_peer.writer().increment();
-                        continue;
-                    };
-                    if !self.admit_epoch(i, epoch) {
-                        continue;
-                    }
-                    self.link.associate(src);
-                    self.heard(i, now);
+                Packet::Ping { t1, .. } => {
                     // The cumulative ack still answers the liveness probe;
                     // the pong carries the clock-sync stamps back (t1
                     // echoed for Karn matching, plus our receive and
                     // transmit times).
-                    self.peers[i].ack_due = true;
+                    self.peers[i].ack_now = true;
                     let t3 = self.clock.wall_ns();
                     // The pong carries our current grant read-only: AIMD
                     // rounds advance only on ack emission, so a ping storm
@@ -477,32 +569,21 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
                         self.local,
                         p.epoch,
                         t1,
-                        t2,
+                        arrival,
                         t3,
                         p.credit.window(),
                         p.credit.drops(),
                     );
                     self.link.send(src, &pong);
                 }
-                Some(Packet::Pong {
-                    src,
-                    epoch,
+                Packet::Pong {
                     t1,
                     t2,
                     t3,
                     credit,
                     recv_drops,
-                }) => {
-                    let t4 = self.clock.wall_ns();
-                    let Some(i) = self.peer_index(src) else {
-                        self.stats.unknown_peer.writer().increment();
-                        continue;
-                    };
-                    if !self.admit_epoch(i, epoch) {
-                        continue;
-                    }
-                    self.link.associate(src);
-                    self.heard(i, now);
+                    ..
+                } => {
                     // Heartbeat pongs refresh the credit view on otherwise
                     // idle paths, so a window shrunk during a busy spell
                     // regrows without waiting for new data traffic.
@@ -513,78 +594,39 @@ impl<L: Link, C: Clock> NetTransport<L, C> {
                     // Fold the four stamps into the offset estimator. Karn
                     // discipline lives inside: a pong whose echoed t1 does
                     // not match the one outstanding probe is dropped.
-                    if self.peers[i].clock.on_pong(t1, t2, t3, t4) {
+                    if self.peers[i].clock.on_pong(t1, t2, t3, arrival) {
                         self.publish_clock(i);
                     }
                 }
-                Some(Packet::Batch {
-                    src,
+                Packet::Batch {
                     first_seq,
-                    epoch,
+                    ack,
                     frames,
-                }) => {
-                    let Some(i) = self.peer_index(src) else {
-                        self.stats.unknown_peer.writer().increment();
-                        continue;
-                    };
-                    if !self.admit_epoch(i, epoch) {
-                        continue;
+                    ..
+                } => {
+                    // A riding ack applies exactly as an Ack datagram
+                    // would, before the frames.
+                    if let Some(a) = ack {
+                        self.on_ack_block(i, now, &a);
                     }
-                    self.link.associate(src);
-                    self.heard(i, now);
                     // Fan the jumbo back out: sub-frame k carries
                     // first_seq + k, and each walks the same reliability/
                     // dedup window as a plain Data arrival — a lost batch
                     // is just a contiguous sequence gap to go-back-N.
-                    let peer = &mut self.peers[i];
-                    peer.ack_due = true;
-                    let st = &self.stats.peers[i];
-                    for (k, frame) in frames.into_iter().enumerate() {
-                        let out = peer
-                            .receiver
-                            .on_data(first_seq.wrapping_add(k as u32), frame);
-                        if out.duplicate {
-                            st.dup_dropped.writer().increment();
-                        }
-                        if out.out_of_window {
-                            st.out_of_window.writer().increment();
-                            peer.credit.on_drop();
-                        }
-                        if !out.delivered.is_empty() {
-                            peer.credit.on_delivered(out.delivered.len() as u32);
-                        }
-                        for f in out.delivered {
-                            st.delivered.writer().increment();
-                            self.ready.push_back(f);
-                        }
-                    }
+                    self.on_frames(i, first_seq, frames);
                 }
             }
         }
-        // One cumulative ack per peer that sent data this pump. Ack loss
-        // is harmless: the next data arrival (or retransmission) re-arms
-        // it, and acks are cumulative.
+        // Acks that cannot wait leave now, one cumulative ack per peer:
+        // every ack of a caller that never flushes, an ack a Ping asked
+        // for, and one owed for two or more frames (acknowledge at least
+        // every second segment, RFC 1122 §4.2.3.2). An ack owed for a
+        // single frame waits for the pass's flush, where reverse data to
+        // that peer can carry it.
         for i in 0..self.peers.len() {
-            if self.peers[i].ack_due {
-                self.peers[i].ack_due = false;
-                // Each emitted ack is one AIMD round for the grantor:
-                // halve on fresh receive-side drops, regrow additively on
-                // productive rounds.
-                let (credit, drops, shrank) = self.peers[i].credit.advertise();
-                if shrank {
-                    self.stats.peers[i].credit_shrinks.writer().increment();
-                }
-                let p = &self.peers[i];
-                let ack = packet::encode_ack(
-                    self.local,
-                    p.receiver.cumulative(),
-                    p.epoch,
-                    p.remote_epoch.unwrap_or_default(),
-                    credit,
-                    drops,
-                );
-                let dst = p.node;
-                self.link.send(dst, &ack);
+            let p = &self.peers[i];
+            if p.ack_now || p.acks_owed >= 2 || (p.acks_owed == 1 && !self.paced) {
+                self.send_ack(i);
             }
         }
     }
@@ -754,18 +796,37 @@ impl<L: Link, C: Clock> Transport for NetTransport<L, C> {
         true
     }
 
+    /// Ends the pass: stages leave (carrying any owed ack that fits),
+    /// and an ack that already waited one pass without a frame to carry
+    /// it leaves standalone.
     fn flush(&mut self) {
-        self.flush_all();
+        self.paced = true;
+        self.polled = false;
+        for i in 0..self.peers.len() {
+            self.flush_peer(i);
+            if self.peers[i].acks_owed > 0 {
+                if self.peers[i].ack_aged {
+                    self.send_ack(i);
+                } else {
+                    self.peers[i].ack_aged = true;
+                }
+            }
+        }
     }
 
     fn try_recv(&mut self) -> Option<Frame> {
         if let Some(f) = self.ready.pop_front() {
             return Some(f);
         }
+        if self.polled {
+            return None;
+        }
         let now = self.clock.now();
         self.pump(now);
         self.service_timers(now);
-        self.ready.pop_front()
+        let f = self.ready.pop_front();
+        self.polled = self.paced && f.is_some();
+        f
     }
 
     fn local_node(&self) -> FlipcNodeId {
@@ -1493,6 +1554,7 @@ mod tests {
                 src: FlipcNodeId(0),
                 first_seq: 2,
                 epoch: cfg.initial_epoch,
+                ack: None,
                 frames: vec![frame(2), frame(3)],
             })
         );

@@ -21,6 +21,14 @@
 //! * **loss/corruption storm** — a survivable storm never kills the peer,
 //!   never corrupts delivery order, and recovers entirely within the
 //!   epoch (no resync).
+//! * **request/response under faults** — with every ack riding the
+//!   reverse message, lost, duplicated, reordered and corrupted carriers
+//!   still leave both directions complete, in order, fully acknowledged
+//!   and on their first epoch.
+//!
+//! The harness ends each node's turn with `flush`, as the engine ends a
+//! pass, so these stories run the paced ack path; the workload chaos
+//! stories poll without flushing and cover the other one.
 
 use flipc_core::inspect::PeerLiveness;
 use flipc_net::{FaultConfig, NetConfig, Scenario, ScenarioOutcome};
@@ -192,6 +200,61 @@ fn survivable_storm_recovers_within_the_epoch() {
         );
         assert_eq!(s0.epoch_resyncs, 0, "no resync needed (seed {seed:#x})");
         assert_eq!(s1.epoch_resyncs, 0, "no resync needed (seed {seed:#x})");
+        check(out);
+    }
+}
+
+#[test]
+fn request_response_under_faults_acks_on_the_reverse_path() {
+    const EXCHANGES: u32 = 60;
+    for seed in seeds() {
+        let sturdy = NetConfig {
+            dead_strikes: 1_000,
+            ..cfg()
+        };
+        let faults = FaultConfig {
+            loss: 0.15,
+            duplicate: 0.10,
+            reorder: 0.10,
+            corrupt: 0.10,
+            ..FaultConfig::default()
+        };
+        let mut scenario = Scenario::new("request-response", 2, sturdy, seed)
+            .say("request/response under loss, duplication, reordering, corruption")
+            .faults(0, faults)
+            .faults(1, faults);
+        for _ in 0..EXCHANGES {
+            // The reply is queued the turn after the request arrives, while
+            // the responder's ack for it waits to ride; the next request
+            // carries the requester's ack for the reply the same way.
+            scenario = scenario.send(0, 1, 1).send(1, 0, 1).run(50);
+        }
+        let out = scenario
+            .say("faults clear")
+            .faults(0, FaultConfig::default())
+            .faults(1, FaultConfig::default())
+            .run(20_000)
+            .expect_delivered_at_least(1, 0, EXCHANGES)
+            .expect_delivered_at_least(0, 1, EXCHANGES)
+            .expect_liveness(0, 1, PeerLiveness::Healthy)
+            .expect_liveness(1, 0, PeerLiveness::Healthy)
+            .play();
+        for (node, s) in out.snapshots.iter().enumerate() {
+            let s = s.as_ref().expect("both nodes alive");
+            assert!(
+                s.paths[0].retransmitted > 0,
+                "faults must force recovery on node {node} (seed {seed:#x})"
+            );
+            assert_eq!(
+                s.paths[0].in_flight, 0,
+                "every message acknowledged on node {node} (seed {seed:#x})"
+            );
+            assert_eq!(s.epoch_resyncs, 0, "no resync (seed {seed:#x})");
+        }
+        assert!(
+            out.snapshots.iter().flatten().any(|s| s.decode_errors > 0),
+            "corruption must surface as decode errors (seed {seed:#x})"
+        );
         check(out);
     }
 }

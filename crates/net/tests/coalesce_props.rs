@@ -44,13 +44,13 @@ fn pack_all(frames: &[Frame], mtu: usize, first_seq: u32) -> Vec<Vec<u8>> {
             continue; // the transport sends these as plain Data
         }
         if !b.fits(body.len()) {
-            out.extend(b.finish(src, epoch).map(<[u8]>::to_vec));
+            out.extend(b.finish(src, epoch, None).map(<[u8]>::to_vec));
             b.clear();
         }
         assert!(b.push(seq, body), "a flushed builder must accept it");
         seq = seq.wrapping_add(1);
     }
-    out.extend(b.finish(src, epoch).map(<[u8]>::to_vec));
+    out.extend(b.finish(src, epoch, None).map(<[u8]>::to_vec));
     out
 }
 
@@ -102,7 +102,7 @@ proptest! {
         let mut expect_seq = first_seq;
         for d in &datagrams {
             match packet::decode(d) {
-                Some(Packet::Batch { src, first_seq: fs, epoch, frames }) => {
+                Some(Packet::Batch { src, first_seq: fs, epoch, ack: None, frames }) => {
                     prop_assert_eq!(src, FlipcNodeId(3));
                     prop_assert_eq!(epoch, 7);
                     prop_assert_eq!(fs, expect_seq, "batches stay seq-contiguous");
