@@ -26,14 +26,14 @@
 
 use crate::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::buffer::{BufferState, BufferToken};
 use crate::commbuf::CommBuffer;
 use crate::endpoint::{EndpointAddress, EndpointIndex, EndpointType, FlipcNodeId, Importance};
 use crate::error::{FlipcError, Result};
 use crate::inspect::{LivenessBoard, PeerLiveness};
-use crate::wait::{WaitCell, WaitRegistry};
+use crate::wait::{self, WaitCell, WaitRegistry, SPINS_BEFORE_YIELD};
 
 /// A copyable identifier for tracking a specific buffer's completion via
 /// its state field (the paper: "allowing an application to determine when
@@ -426,19 +426,51 @@ impl Flipc {
         }
     }
 
-    /// Blocking receive: sleeps until a message arrives or `timeout`
-    /// elapses. The thread is parked through the wait registry (the
-    /// kernel's role) and, on message arrival, presented back to the
+    /// Blocking receive: returns the next message once it arrives, or
+    /// [`FlipcError::Timeout`] after `timeout`.
+    ///
+    /// The thread first polls the endpoint's ring with loads alone for at
+    /// most one measured sleep-and-wake (see [`crate::wait`]); a message
+    /// that arrives in that window is returned without entering the
+    /// kernel. After it, the thread parks through the wait registry (the
+    /// kernel's role) and, on message arrival, is presented back to the
     /// scheduler — no interrupting upcalls.
     pub fn recv_blocking(&self, ep: &LocalEndpoint, timeout: Duration) -> Result<Received> {
-        let deadline = std::time::Instant::now() + timeout;
+        self.idle_ladder(std::slice::from_ref(ep), timeout, || self.recv(ep))
+    }
+
+    /// The wait behind both blocking receives: `poll` is the receive that
+    /// takes a message from any of the receive endpoints `eps`.
+    ///
+    /// The poll phase tests each ring's `acquirable` count, which takes no
+    /// lock and writes nothing, and calls `poll` only once a count is
+    /// nonzero. It spins between its first [`SPINS_BEFORE_YIELD`] polls and
+    /// yields between later ones, for at most one estimated sleep-and-wake
+    /// per call. After that the thread parks: it registers one wait cell on
+    /// every endpoint, raises their waiter counts, fences, re-polls and
+    /// only then sleeps, so the engine, which advances, fences and reads
+    /// the counts, cannot deliver unseen.
+    pub(crate) fn idle_ladder<T>(
+        &self,
+        eps: &[LocalEndpoint],
+        timeout: Duration,
+        mut poll: impl FnMut() -> Result<Option<T>>,
+    ) -> Result<T> {
+        let start = Instant::now();
+        let deadline = start + timeout;
+        let poll_until = start + wait::poll_bound(timeout);
         loop {
-            if let Some(r) = self.recv(ep)? {
+            if let Some(r) = poll()? {
                 return Ok(r);
             }
+            if self.poll_rings(eps, poll_until)? {
+                continue;
+            }
             let cell = WaitCell::new();
-            self.registry.register(ep.idx, &cell);
-            self.cb.adjust_waiters(ep.idx, 1)?;
+            for ep in eps {
+                self.registry.register(ep.idx, &cell);
+                self.cb.adjust_waiters(ep.idx, 1)?;
+            }
             // The waiter-count store must be globally visible before the
             // ring re-check below reads the engine's process pointer, and
             // symmetrically on the engine side (advance, fence, read
@@ -448,31 +480,48 @@ impl Flipc {
             // Re-check after raising the waiter count: a message that
             // arrived in between will be found here, and any message after
             // it will see waiters > 0 and post a wake.
-            let res = match self.recv(ep)? {
-                Some(r) => Some(r),
-                None => {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        None
-                    } else {
-                        cell.wait(deadline - now);
-                        None
-                    }
+            let res = poll()?;
+            if res.is_none() {
+                let now = Instant::now();
+                if now < deadline {
+                    wait::observe(cell.wait(deadline - now));
                 }
-            };
-            self.cb.adjust_waiters(ep.idx, -1)?;
-            self.registry.unregister(ep.idx, &cell);
+            }
+            for ep in eps {
+                self.cb.adjust_waiters(ep.idx, -1)?;
+                self.registry.unregister(ep.idx, &cell);
+            }
             if let Some(r) = res {
                 return Ok(r);
             }
-            if std::time::Instant::now() >= deadline {
+            if Instant::now() >= deadline {
                 // One last poll so a message that raced the deadline wins.
-                if let Some(r) = self.recv(ep)? {
+                if let Some(r) = poll()? {
                     return Ok(r);
                 }
                 return Err(FlipcError::Timeout);
             }
         }
+    }
+
+    /// The poll phase: true as soon as any of `eps` holds a message to
+    /// acquire, false once `until` passes with none.
+    fn poll_rings(&self, eps: &[LocalEndpoint], until: Instant) -> Result<bool> {
+        let mut polls = 0u32;
+        while Instant::now() < until {
+            for ep in eps {
+                if self.cb.app_queue(ep.idx)?.acquirable() != 0 {
+                    return Ok(true);
+                }
+            }
+            if polls < SPINS_BEFORE_YIELD {
+                polls += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        Ok(false)
     }
 
     // ------------------------------------------------------------------
@@ -652,6 +701,105 @@ mod tests {
             registry.wake(idx);
         }
         assert_eq!(waiter.join().unwrap().unwrap(), src);
+    }
+
+    /// A node with one receive endpoint holding one receive buffer.
+    fn stocked() -> (Arc<Flipc>, Arc<WaitRegistry>, LocalEndpoint) {
+        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+        let registry = WaitRegistry::new();
+        let f = Arc::new(Flipc::attach(cb, FlipcNodeId(0), registry.clone()));
+        let recv = f
+            .endpoint_allocate(EndpointType::Receive, Importance::Normal)
+            .unwrap();
+        let t = f.buffer_allocate().unwrap();
+        f.provide_receive_buffer(&recv, t)
+            .map_err(|r| r.error)
+            .unwrap();
+        (f, registry, recv)
+    }
+
+    /// Delivers one message into `idx` as the engine does, posting the
+    /// kernel wake only if a receiver raised the waiter count.
+    fn deliver(f: &Flipc, registry: &WaitRegistry, idx: EndpointIndex) -> EndpointAddress {
+        let q = f.commbuf().engine_queue(idx).unwrap();
+        let b = q.peek().unwrap();
+        let src = EndpointAddress::new(FlipcNodeId(2), EndpointIndex(1), 1);
+        f.commbuf().header(b).store(src, BufferState::Processed);
+        q.advance();
+        crate::sync::atomic::fence(Ordering::SeqCst);
+        if f.commbuf().waiters(idx).unwrap() > 0 {
+            registry.wake(idx);
+        }
+        src
+    }
+
+    #[test]
+    fn recv_blocking_takes_a_reply_inside_the_poll_phase_without_parking() {
+        let (f, registry, recv) = stocked();
+        let idx = recv.index();
+        let (started, start) = std::sync::mpsc::channel();
+        let f2 = f.clone();
+        let waiter = std::thread::spawn(move || {
+            let _pin = crate::wait::PinnedBound::new(Duration::from_secs(10));
+            started.send(Instant::now()).unwrap();
+            let got = f2.recv_blocking(&recv, Duration::from_secs(10));
+            (got.map(|r| r.from), Instant::now())
+        });
+        let began = start.recv().unwrap();
+        // The receiver polls; it must not arm the endpoint meanwhile.
+        while began.elapsed() < Duration::from_millis(20) {
+            assert_eq!(f.commbuf().waiters(idx).unwrap(), 0, "receiver parked");
+            assert_eq!(registry.waiter_count(idx), 0, "receiver registered");
+            std::thread::yield_now();
+        }
+        let src = deliver(&f, &registry, idx);
+        let (got, done) = waiter.join().unwrap();
+        assert_eq!(got.unwrap(), src);
+        // A receiver that slept would have needed a wake that never came,
+        // and would have returned only at its deadline.
+        assert!(done - began < Duration::from_secs(5));
+        assert_eq!(f.commbuf().waiters(idx).unwrap(), 0);
+        assert_eq!(registry.waiter_count(idx), 0);
+    }
+
+    #[test]
+    fn recv_blocking_parks_after_the_poll_phase_and_is_woken() {
+        let (f, registry, recv) = stocked();
+        let idx = recv.index();
+        let bound = Duration::from_millis(5);
+        let began = Instant::now();
+        let f2 = f.clone();
+        let waiter = std::thread::spawn(move || {
+            let _pin = crate::wait::PinnedBound::new(bound);
+            f2.recv_blocking(&recv, Duration::from_secs(10))
+                .map(|r| r.from)
+        });
+        while f.commbuf().waiters(idx).unwrap() == 0 {
+            assert!(began.elapsed() < Duration::from_secs(5), "never parked");
+            std::thread::yield_now();
+        }
+        assert!(
+            began.elapsed() >= bound,
+            "parked before the poll phase ended"
+        );
+        let src = deliver(&f, &registry, idx);
+        assert_eq!(waiter.join().unwrap().unwrap(), src);
+        assert_eq!(f.commbuf().waiters(idx).unwrap(), 0);
+    }
+
+    #[test]
+    fn recv_blocking_times_out_inside_a_longer_poll_phase() {
+        let (f, _registry, recv) = stocked();
+        let _pin = crate::wait::PinnedBound::new(Duration::from_secs(60));
+        let began = Instant::now();
+        let err = f
+            .recv_blocking(&recv, Duration::from_millis(30))
+            .unwrap_err();
+        let took = began.elapsed();
+        assert_eq!(err, FlipcError::Timeout);
+        assert!(took >= Duration::from_millis(30), "{took:?}");
+        assert!(took < Duration::from_secs(5), "{took:?}");
+        assert_eq!(f.commbuf().waiters(recv.index()).unwrap(), 0);
     }
 
     #[test]

@@ -8,17 +8,18 @@
 //! a scan. The scan start rotates so that a busy member cannot starve the
 //! others.
 //!
-//! The blocking variant registers one wait cell on every member endpoint
-//! in the node's wait registry ([`crate::wait`]); the engine's delivery
-//! wake on any member releases the thread, which is then presented to the
-//! scheduler.
+//! The blocking variant shares the idle ladder of
+//! [`Flipc::recv_blocking`]: it first polls every member's ring with loads
+//! alone for at most one measured sleep-and-wake ([`crate::wait`]), and
+//! only then registers one wait cell on every member endpoint in the
+//! node's wait registry. The engine's delivery wake on any member releases
+//! the parked thread, which is then presented to the scheduler.
 
 use std::time::Duration;
 
 use crate::api::{Flipc, LocalEndpoint, Received};
 use crate::endpoint::EndpointType;
 use crate::error::{FlipcError, Result};
-use crate::wait::WaitCell;
 
 /// A group of receive endpoints supporting receive-any.
 pub struct EndpointGroup {
@@ -80,67 +81,43 @@ impl EndpointGroup {
         if self.members.is_empty() {
             return Err(FlipcError::BadGroup);
         }
-        let n = self.members.len();
-        for step in 0..n {
-            let i = (self.cursor + step) % n;
-            if let Some(r) = f.recv(&self.members[i])? {
-                // Next scan starts after the member that was served.
-                self.cursor = (i + 1) % n;
-                return Ok(Some((i, r)));
-            }
-        }
-        Ok(None)
+        scan(&self.members, &mut self.cursor, f)
     }
 
-    /// Blocking receive-any: parks the thread until any member delivers or
-    /// `timeout` elapses.
+    /// Blocking receive-any: returns the first message any member receives,
+    /// or [`FlipcError::Timeout`] after `timeout`. Polls the members' rings
+    /// for at most one measured sleep-and-wake, then parks the thread until
+    /// any member delivers.
     pub fn recv_any_blocking(&mut self, f: &Flipc, timeout: Duration) -> Result<(usize, Received)> {
         if self.members.is_empty() {
             return Err(FlipcError::BadGroup);
         }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(hit) = self.recv_any(f)? {
-                return Ok(hit);
-            }
-            // Arm a single cell on every member, raise all waiter counts,
-            // then re-scan to close the arrival race.
-            let cell = WaitCell::new();
-            let registry = f.registry();
-            for m in &self.members {
-                registry.register(m.index(), &cell);
-                f.commbuf().adjust_waiters(m.index(), 1)?;
-            }
-            // Same lost-wakeup guard as `Flipc::recv_blocking`: the waiter
-            // counts must be visible before the rescan reads the rings.
-            crate::sync::atomic::fence(crate::sync::atomic::Ordering::SeqCst);
-            let rescan = self.recv_any(f)?;
-            if rescan.is_none() {
-                let now = std::time::Instant::now();
-                if now < deadline {
-                    cell.wait(deadline - now);
-                }
-            }
-            for m in &self.members {
-                f.commbuf().adjust_waiters(m.index(), -1)?;
-                registry.unregister(m.index(), &cell);
-            }
-            if let Some(hit) = rescan {
-                return Ok(hit);
-            }
-            if std::time::Instant::now() >= deadline {
-                if let Some(hit) = self.recv_any(f)? {
-                    return Ok(hit);
-                }
-                return Err(FlipcError::Timeout);
-            }
-        }
+        let EndpointGroup { members, cursor } = self;
+        f.idle_ladder(members, timeout, || scan(members, cursor, f))
     }
 
     /// Disbands the group, returning its members.
     pub fn into_members(self) -> Vec<LocalEndpoint> {
         self.members
     }
+}
+
+/// One rotating scan of `members`, starting at `cursor`.
+fn scan(
+    members: &[LocalEndpoint],
+    cursor: &mut usize,
+    f: &Flipc,
+) -> Result<Option<(usize, Received)>> {
+    let n = members.len();
+    for step in 0..n {
+        let i = (*cursor + step) % n;
+        if let Some(r) = f.recv(&members[i])? {
+            // Next scan starts after the member that was served.
+            *cursor = (i + 1) % n;
+            return Ok(Some((i, r)));
+        }
+    }
+    Ok(None)
 }
 
 impl Default for EndpointGroup {
@@ -158,6 +135,7 @@ mod tests {
     use crate::layout::Geometry;
     use crate::wait::WaitRegistry;
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn flipc() -> Flipc {
         let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
@@ -282,6 +260,93 @@ mod tests {
         deliver(&f, target, 7);
         registry.wake(target);
         assert_eq!(waiter.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn blocking_recv_any_takes_a_reply_inside_the_poll_phase_without_parking() {
+        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+        let registry = WaitRegistry::new();
+        let f = Arc::new(Flipc::attach(cb, FlipcNodeId(0), registry.clone()));
+        let mut g = group_of(&f, 3);
+        let members: Vec<EndpointIndex> = (0..3).map(|i| g.member(i).unwrap().index()).collect();
+        let (started, start) = std::sync::mpsc::channel();
+        let f2 = f.clone();
+        let waiter = std::thread::spawn(move || {
+            let _pin = crate::wait::PinnedBound::new(Duration::from_secs(10));
+            started.send(Instant::now()).unwrap();
+            let hit = g.recv_any_blocking(&f2, Duration::from_secs(10));
+            (hit.map(|h| h.0), Instant::now())
+        });
+        let began = start.recv().unwrap();
+        while began.elapsed() < Duration::from_millis(20) {
+            for &ep in &members {
+                assert_eq!(f.commbuf().waiters(ep).unwrap(), 0, "receiver parked");
+                assert_eq!(registry.waiter_count(ep), 0, "receiver registered");
+            }
+            std::thread::yield_now();
+        }
+        // No wake is posted: only the poll phase can find this message.
+        deliver(&f, members[2], 7);
+        let (hit, done) = waiter.join().unwrap();
+        assert_eq!(hit.unwrap(), 2);
+        assert!(done - began < Duration::from_secs(5));
+        for &ep in &members {
+            assert_eq!(f.commbuf().waiters(ep).unwrap(), 0);
+            assert_eq!(registry.waiter_count(ep), 0);
+        }
+    }
+
+    #[test]
+    fn blocking_recv_any_parks_after_the_poll_phase_and_is_woken() {
+        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+        let registry = WaitRegistry::new();
+        let f = Arc::new(Flipc::attach(cb, FlipcNodeId(0), registry.clone()));
+        let mut g = group_of(&f, 2);
+        let target = g.member(0).unwrap().index();
+        let bound = Duration::from_millis(5);
+        let began = Instant::now();
+        let f2 = f.clone();
+        let waiter = std::thread::spawn(move || {
+            let _pin = crate::wait::PinnedBound::new(bound);
+            g.recv_any_blocking(&f2, Duration::from_secs(10))
+                .map(|h| h.0)
+        });
+        while f.commbuf().waiters(target).unwrap() == 0 {
+            assert!(began.elapsed() < Duration::from_secs(5), "never parked");
+            std::thread::yield_now();
+        }
+        assert!(
+            began.elapsed() >= bound,
+            "parked before the poll phase ended"
+        );
+        deliver(&f, target, 7);
+        crate::sync::atomic::fence(crate::sync::atomic::Ordering::SeqCst);
+        if f.commbuf().waiters(target).unwrap() > 0 {
+            registry.wake(target);
+        }
+        assert_eq!(waiter.join().unwrap().unwrap(), 0);
+        assert_eq!(f.commbuf().waiters(target).unwrap(), 0);
+    }
+
+    #[test]
+    fn blocking_recv_any_times_out_inside_a_longer_poll_phase() {
+        let f = flipc();
+        let mut g = group_of(&f, 2);
+        let _pin = crate::wait::PinnedBound::new(Duration::from_secs(60));
+        let began = Instant::now();
+        let err = g
+            .recv_any_blocking(&f, Duration::from_millis(30))
+            .unwrap_err();
+        let took = began.elapsed();
+        assert_eq!(err, FlipcError::Timeout);
+        assert!(took >= Duration::from_millis(30), "{took:?}");
+        assert!(took < Duration::from_secs(5), "{took:?}");
+        for i in 0..2 {
+            assert_eq!(
+                f.commbuf().waiters(g.member(i).unwrap().index()).unwrap(),
+                0
+            );
+        }
     }
 
     #[test]

@@ -15,10 +15,14 @@
 
 use std::sync::Arc;
 
+use flipc_core::buffer::BufferState;
+use flipc_core::commbuf::CommBuffer;
 use flipc_core::counter::{CounterAppSide, CounterEngineSide};
+use flipc_core::endpoint::{EndpointAddress, EndpointIndex, EndpointType, FlipcNodeId, Importance};
 use flipc_core::hist::Histogram;
+use flipc_core::layout::Geometry;
 use flipc_core::queue::{AppQueue, EngineQueue};
-use flipc_core::sync::atomic::{AtomicU32, Ordering};
+use flipc_core::sync::atomic::{fence, AtomicBool, AtomicU32, Ordering};
 
 /// The paper's no-lost-drop-event guarantee: engine increments racing with
 /// the application's `read_and_reset` are never lost or double-counted.
@@ -213,5 +217,69 @@ fn loom_queue_half_empty_conditions_bounded() {
             let _ = app.acquire();
         }
         engine.join().unwrap();
+    });
+}
+
+/// The blocked-waiter handshake behind `Flipc::recv_blocking` and
+/// `EndpointGroup::recv_any_blocking`, against the engine's delivery.
+///
+/// The receiver polls the ring once (the poll phase reads `acquirable`
+/// and writes nothing), then parks the way the blocking receives do: raise
+/// `EP_WAITERS`, fence, re-check the ring, and sleep only if the re-check
+/// is empty. The engine delivers the way `Engine::deliver` does: advance
+/// the process pointer, fence, load `EP_WAITERS`, and post a wake only if
+/// it is nonzero. No schedule may park the receiver with the message
+/// delivered and no wake posted: that is a lost wakeup, and the receiver
+/// would sleep to its timeout.
+///
+/// The steps run on the production `CommBuffer::adjust_waiters`/`waiters`
+/// and queue views. `flipc-loom` explores sequentially consistent
+/// interleavings only, so this model checks the *order* of the steps; it
+/// cannot see the `SeqCst` fences, which exist so that real hardware keeps
+/// the store-then-load order that the model takes for granted. Arming
+/// after the re-check, or dropping the re-check, fails the model.
+#[test]
+fn loom_blocking_receive_never_parks_past_a_delivery() {
+    flipc_loom::model(|| {
+        let cb = Arc::new(CommBuffer::new(Geometry::small()).unwrap());
+        let ep = cb
+            .alloc_endpoint(EndpointType::Receive, Importance::Normal)
+            .unwrap()
+            .0;
+        let buf = cb.alloc_buffer().unwrap().index();
+        cb.app_queue(ep).unwrap().release(buf).unwrap();
+        let woken = Arc::new(AtomicBool::new(false));
+
+        let (cb2, woken2) = (cb.clone(), woken.clone());
+        let engine = flipc_loom::thread::spawn(move || {
+            let q = cb2.engine_queue(ep).unwrap();
+            let b = q.peek().expect("a receive buffer is queued");
+            let src = EndpointAddress::new(FlipcNodeId(1), EndpointIndex(0), 1);
+            cb2.header(b).store(src, BufferState::Processed);
+            q.advance();
+            fence(Ordering::SeqCst);
+            if cb2.waiters(ep).unwrap() > 0 {
+                woken2.store(true, Ordering::Release);
+            }
+        });
+
+        let ready = |cb: &CommBuffer| cb.app_queue(ep).unwrap().acquirable() != 0;
+        let parked = if ready(&cb) {
+            false
+        } else {
+            cb.adjust_waiters(ep, 1).unwrap();
+            fence(Ordering::SeqCst);
+            let found = ready(&cb);
+            // (The receiver would sleep here when `found` is false, and
+            // lower the count again when it resumes.)
+            !found
+        };
+        engine.join().unwrap();
+        if parked {
+            assert!(
+                woken.load(Ordering::Acquire),
+                "receiver parked with a message delivered and no wake posted"
+            );
+        }
     });
 }

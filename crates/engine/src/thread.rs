@@ -7,6 +7,7 @@
 //! MP3 node had processors).
 
 use flipc_core::sync::atomic::{AtomicBool, Ordering};
+use flipc_core::wait::SPINS_BEFORE_YIELD;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -48,7 +49,7 @@ pub fn spawn_engine(mut engine: Engine) -> EngineHandle {
                 let work = engine.iterate();
                 if work == 0 {
                     idle_streak += 1;
-                    if idle_streak > 16 {
+                    if idle_streak > SPINS_BEFORE_YIELD {
                         // Idle: surrender the core so application threads
                         // (or other engines) can run.
                         std::thread::yield_now();

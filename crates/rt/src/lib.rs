@@ -5,9 +5,6 @@
 //! explicit resource control. This crate provides the application-side
 //! real-time machinery the paper assumes around the messaging system:
 //!
-//! * [`semaphore`] — the real-time semaphore option: message-arrival
-//!   wakeups that present the highest-importance blocked thread to the
-//!   scheduler (no interrupting upcalls);
 //! * [`sched`] — a cooperative priority dispatcher used by the examples to
 //!   demonstrate importance-ordered processing;
 //! * [`workload`] — seeded generators for the paper's motivating traffic:
@@ -17,10 +14,8 @@
 
 pub mod deadline;
 pub mod sched;
-pub mod semaphore;
 pub mod workload;
 
 pub use deadline::{DeadlineTracker, StreamStats};
 pub use sched::{DispatchRecord, PriorityScheduler, Task, TaskStatus};
-pub use semaphore::RtSemaphore;
 pub use workload::{MsgEvent, PeriodicSpec, WorkloadGen, MEDIUM_MAX, MEDIUM_MIN};

@@ -1,13 +1,11 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
-//! Wraps `std::sync` primitives behind parking_lot's ergonomics: `lock()`
+//! Wraps `std::sync::Mutex` behind parking_lot's ergonomics: `lock()`
 //! returns the guard directly (no poisoning — a panicked holder does not
-//! wedge later lockers), and [`Condvar::wait_until`] takes the guard by
-//! `&mut`. Only the surface the workspace uses is provided.
+//! wedge later lockers). Only the surface the workspace uses is provided.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Instant;
 
 /// A non-poisoning mutex.
 pub struct Mutex<T: ?Sized> {
@@ -16,9 +14,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait_until` can temporarily take the std guard
-    // by value; it is `Some` at every point user code can observe.
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -34,7 +30,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, ignoring poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
@@ -42,66 +38,13 @@ impl<T: ?Sized> Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside wait")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside wait")
-    }
-}
-
-/// Result of a timed condition wait.
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait returned because the deadline passed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    /// Blocks until notified or `deadline` passes, releasing and
-    /// reacquiring the guard's mutex around the wait.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let std_guard = guard.inner.take().expect("guard present outside wait");
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        let (std_guard, result) = self
-            .inner
-            .wait_timeout(std_guard, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-        WaitTimeoutResult(result.timed_out())
+        &mut self.inner
     }
 }
 
@@ -109,40 +52,12 @@ impl Condvar {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
-    fn lock_roundtrip_and_timeout() {
+    fn lock_roundtrip() {
         let m = Mutex::new(5u32);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
-        assert!(r.timed_out());
-        assert_eq!(*g, 6);
-    }
-
-    #[test]
-    fn notify_crosses_threads() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            *m.lock() = true;
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut g = m.lock();
-        while !*g {
-            cv.wait_until(&mut g, deadline);
-            if Instant::now() >= deadline {
-                break;
-            }
-        }
-        assert!(*g);
-        t.join().expect("notifier");
     }
 
     #[test]

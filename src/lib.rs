@@ -13,7 +13,7 @@
 //! | [`kkt`] | `flipc-kkt` | the RPC-per-message development transport |
 //! | [`net`] | `flipc-net` | real UDP inter-node transport with the optimistic go-back-N reliability layer, fault injection, per-peer wire stats |
 //! | [`obs`] | `flipc-obs` | wait-free trace ring and telemetry recorders plus their consumers: timeline reconstruction, stall analysis, metrics exposition (see also the `flipc-top` binary) |
-//! | [`rt`] | `flipc-rt` | real-time semaphore, priority dispatcher, workload generators |
+//! | [`rt`] | `flipc-rt` | priority dispatcher, deadline accounting, workload generators |
 //! | [`sim`] | `flipc-sim` | discrete-event kernel, coherent-cache model, cost model, statistics |
 //! | [`workloads`] | `flipc-workloads` | composable workloads over the transport: fan-out pub-sub broadcast, replicated ordered log with replay-from-offset, priority-tiered delivery |
 //! | [`mesh`] | `flipc-mesh` | Paragon-style wormhole 2D mesh simulator |
